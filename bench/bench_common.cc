@@ -1,15 +1,12 @@
 #include "bench/bench_common.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iomanip>
 #include <limits>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "algos/ecec.h"
@@ -24,6 +21,7 @@
 #include <thread>
 
 #include "core/counters.h"
+#include "core/env.h"
 #include "core/evaluation.h"
 #include "core/fabric.h"
 #include "core/fault.h"
@@ -31,6 +29,7 @@
 #include "core/log.h"
 #include "core/model_cache.h"
 #include "core/parallel.h"
+#include "core/rowlog.h"
 #include "core/simd.h"
 #include "core/trace.h"
 
@@ -38,87 +37,32 @@ namespace etsc::bench {
 
 namespace {
 
-std::string GetEnvOr(const char* name, const std::string& fallback) {
-  const char* value = std::getenv(name);
-  return value == nullptr ? fallback : value;
-}
-
-/// True when `rest` holds only trailing whitespace after a strtod/strtoull
-/// parse — "30 " is fine, "30x" and "" (nothing parsed) are not.
-bool OnlyTrailingSpace(const char* rest) {
-  if (rest == nullptr) return false;
-  while (*rest != '\0') {
-    if (!std::isspace(static_cast<unsigned char>(*rest))) return false;
-    ++rest;
-  }
-  return true;
-}
-
-/// Validated numeric override: a value bare strtod would silently turn into
-/// 0 ("five", "", "1.5x") instead warns and keeps the default.
-double GetEnvOr(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value, &end);
-  if (end == value || !OnlyTrailingSpace(end) || errno == ERANGE) {
-    Logf(LogLevel::kWarn, "campaign",
-         "%s=\"%s\" is not a number; using the default (%g)", name, value,
-         fallback);
-    return fallback;
-  }
-  return parsed;
-}
-
-size_t GetEnvSizeOr(const char* name, size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
-  const char* p = value;
-  while (*p != '\0' && std::isspace(static_cast<unsigned char>(*p))) ++p;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(p, &end, 10);
-  // strtoull wraps negatives ("-3" parses as a huge value): reject the sign.
-  if (*p == '-' || end == p || !OnlyTrailingSpace(end) || errno == ERANGE ||
-      parsed > std::numeric_limits<size_t>::max()) {
-    Logf(LogLevel::kWarn, "campaign",
-         "%s=\"%s\" is not a non-negative integer; using the default (%zu)",
-         name, value, fallback);
-    return fallback;
-  }
-  return static_cast<size_t>(parsed);
-}
-
-/// Parses "i/N" with 0 <= i < N into a shard selector.
-bool ParseShard(const std::string& spec, size_t* index, size_t* count) {
-  const size_t slash = spec.find('/');
-  if (slash == std::string::npos) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long i = std::strtoull(spec.c_str(), &end, 10);
-  if (end != spec.c_str() + slash || errno == ERANGE) return false;
-  const char* n_begin = spec.c_str() + slash + 1;
-  errno = 0;
-  const unsigned long long n = std::strtoull(n_begin, &end, 10);
-  if (end == n_begin || !OnlyTrailingSpace(end) || errno == ERANGE) return false;
-  if (n == 0 || i >= n) return false;
-  *index = static_cast<size_t>(i);
-  *count = static_cast<size_t>(n);
-  return true;
-}
-
-std::vector<std::string> SplitCommas(const std::string& s) {
+/// Non-empty entries of a comma list.
+std::vector<std::string> SplitCommas(std::string_view s) {
+  std::vector<std::string_view> fields;
+  rowlog::SplitFields(s, &fields);
   std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
+  for (const std::string_view field : fields) {
+    if (!field.empty()) out.emplace_back(field);
   }
   return out;
 }
 
 }  // namespace
+
+bool ParseShard(std::string_view spec, size_t* index, size_t* count) {
+  const size_t slash = spec.find('/');
+  uint64_t i = 0;
+  uint64_t n = 0;
+  if (slash == std::string_view::npos ||
+      !rowlog::ParseInt(spec.substr(0, slash), &i) ||
+      !rowlog::ParseInt(spec.substr(slash + 1), &n) || n == 0 || i >= n) {
+    return false;
+  }
+  *index = static_cast<size_t>(i);
+  *count = static_cast<size_t>(n);
+  return true;
+}
 
 const std::vector<std::string>& PaperAlgorithms() {
   static const auto* kAlgorithms = new std::vector<std::string>{
@@ -128,25 +72,31 @@ const std::vector<std::string>& PaperAlgorithms() {
 
 CampaignConfig CampaignConfig::FromEnv() {
   CampaignConfig config;
-  config.height_scale = GetEnvOr("ETSC_BENCH_SCALE", config.height_scale);
-  config.folds = GetEnvSizeOr("ETSC_BENCH_FOLDS", config.folds);
+  config.height_scale = env::NumberOr("campaign", "ETSC_BENCH_SCALE",
+                                      config.height_scale, 0.0, 1e6);
+  config.folds = env::CountOr("campaign", "ETSC_BENCH_FOLDS", config.folds, 0,
+                              1000000000);
   config.train_budget_seconds =
-      GetEnvOr("ETSC_BENCH_BUDGET", config.train_budget_seconds);
+      env::NumberOr("campaign", "ETSC_BENCH_BUDGET",
+                    config.train_budget_seconds, 0.0, 1e12);
   config.predict_budget_seconds =
-      GetEnvOr("ETSC_BENCH_PREDICT_BUDGET", config.predict_budget_seconds);
-  config.maritime_windows =
-      GetEnvSizeOr("ETSC_BENCH_MARITIME", config.maritime_windows);
-  config.cost_alpha = GetEnvOr("ETSC_BENCH_ALPHA", config.cost_alpha);
-  const std::string algos = GetEnvOr("ETSC_BENCH_ALGOS", "");
+      env::NumberOr("campaign", "ETSC_BENCH_PREDICT_BUDGET",
+                    config.predict_budget_seconds, 0.0, 1e12);
+  config.maritime_windows = env::CountOr("campaign", "ETSC_BENCH_MARITIME",
+                                         config.maritime_windows, 0,
+                                         1000000000);
+  config.cost_alpha = env::NumberOr("campaign", "ETSC_BENCH_ALPHA",
+                                    config.cost_alpha, 0.0, 1.0);
+  const std::string algos = env::StringOr("ETSC_BENCH_ALGOS", "");
   config.algorithms = algos.empty() ? PaperAlgorithms() : SplitCommas(algos);
-  const std::string datasets = GetEnvOr("ETSC_BENCH_DATASETS", "");
+  const std::string datasets = env::StringOr("ETSC_BENCH_DATASETS", "");
   config.datasets =
       datasets.empty() ? BenchmarkDatasetNames() : SplitCommas(datasets);
   config.cache_path =
-      GetEnvOr("ETSC_BENCH_CACHE", std::string("etsc_campaign_cache.csv"));
-  config.report_path = GetEnvOr("ETSC_BENCH_REPORT", std::string());
-  config.report_only = !GetEnvOr("ETSC_BENCH_REPORT_ONLY", std::string()).empty();
-  const std::string shard = GetEnvOr("ETSC_BENCH_SHARD", std::string());
+      env::StringOr("ETSC_BENCH_CACHE", config.cache_path.c_str());
+  config.report_path = env::StringOr("ETSC_BENCH_REPORT", "");
+  config.report_only = !env::StringOr("ETSC_BENCH_REPORT_ONLY", "").empty();
+  const std::string shard = env::StringOr("ETSC_BENCH_SHARD", "");
   if (!shard.empty() && !ParseShard(shard, &config.shard_index,
                                     &config.shard_count)) {
     Logf(LogLevel::kWarn, "campaign",
@@ -155,7 +105,7 @@ CampaignConfig CampaignConfig::FromEnv() {
          shard.c_str());
   }
   config.supervisor = SupervisorOptions::FromEnv();
-  config.fault_spec = GetEnvOr("ETSC_BENCH_FAULT", std::string());
+  config.fault_spec = env::StringOr("ETSC_BENCH_FAULT", "");
   return config;
 }
 
@@ -261,10 +211,6 @@ RepositoryOptions Campaign::RepoOptions() const {
 
 namespace {
 
-/// End-of-row sentinel appended as the final journal field. A row lacking it
-/// was truncated by a crash mid-write and must be skipped, not half-parsed.
-constexpr char kRowSentinel[] = ",#end";
-
 std::string Hex16(uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -300,59 +246,6 @@ Counter& CellsComputed() {
 
 }  // namespace
 
-std::string EscapeJournalField(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case ',':
-        out += "\\c";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-std::string UnescapeJournalField(const std::string& escaped) {
-  std::string out;
-  out.reserve(escaped.size());
-  for (size_t i = 0; i < escaped.size(); ++i) {
-    if (escaped[i] != '\\' || i + 1 == escaped.size()) {
-      out += escaped[i];
-      continue;
-    }
-    switch (escaped[++i]) {
-      case '\\':
-        out += '\\';
-        break;
-      case 'n':
-        out += '\n';
-        break;
-      case 'r':
-        out += '\r';
-        break;
-      case 'c':
-        out += ',';
-        break;
-      default:
-        out += '\\';
-        out += escaped[i];
-    }
-  }
-  return out;
-}
-
 Result<std::string> JournalHeaderForConfig(const CampaignConfig& config) {
   RepositoryOptions repo;
   repo.seed = config.seed;
@@ -375,91 +268,52 @@ Result<std::string> JournalHeaderForConfig(const CampaignConfig& config) {
 }
 
 Status Campaign::LoadCache(const std::string& expected_header) {
-  cache_state_ = CacheState::kMissing;
+  journal_stale_ = false;
   std::ifstream in(config_.cache_path);
-  if (!in) return Status::OK();
-  std::string line;
-  if (!std::getline(in, line) || line != expected_header) {
-    // A journal claiming a NEWER format version is not "stale" — it is the
-    // product of a newer build and may contain row kinds this binary would
-    // misparse (e.g. control rows it does not know). Rotating it aside would
-    // silently discard someone's results; refuse with marching orders.
-    const int theirs = fabric::HeaderVersion(line);
-    if (theirs > kJournalFormatVersion) {
-      return Status::FailedPrecondition(
-          "cache " + config_.cache_path + " was written by a newer build "
-          "(journal format v" + std::to_string(theirs) +
-          ", this binary reads up to v" +
-          std::to_string(kJournalFormatVersion) +
-          "): upgrade the binary, or delete/move the journal to recompute");
-    }
+  ETSC_ASSIGN_OR_RETURN(
+      const rowlog::Header header,
+      rowlog::ReadHeader(in, config_.cache_path, fabric::kJournalHeaderPrefix,
+                         expected_header));
+  if (header == rowlog::Header::kMissing) return Status::OK();
+  if (header == rowlog::Header::kForeign) {
     // Journal from another configuration (or a header truncated mid-write):
     // its rows must never be mixed with this config's. AppendCache rotates
     // the file aside before the first new row.
-    cache_state_ = CacheState::kStale;
+    journal_stale_ = true;
     Logf(LogLevel::kWarn, "campaign",
          "cache %s has a different fingerprint; it will be rotated to "
          "%s.stale before new results are journalled",
          config_.cache_path.c_str(), config_.cache_path.c_str());
     return Status::OK();
   }
-  cache_state_ = CacheState::kLoaded;
   size_t skipped = 0;
   size_t duplicates = 0;
   // (algorithm, dataset) -> index into cells_. An interrupted-then-resumed
   // campaign can journal the same cell twice; the LAST row (the freshest
   // result) must win, or Find() would pin lookups to the oldest row forever.
   std::map<std::pair<std::string, std::string>, size_t> index;
-  while (std::getline(in, line)) {
-    const size_t sentinel_len = sizeof(kRowSentinel) - 1;
-    if (!line.empty() && line[0] == '@') {
-      continue;  // worker-fabric control row (lease / quarantine broadcast)
-    }
-    if (line.size() < sentinel_len ||
-        line.compare(line.size() - sentinel_len, sentinel_len, kRowSentinel) !=
-            0) {
-      ++skipped;  // truncated by a mid-write crash; recomputed this run
-      continue;
-    }
-    line.resize(line.size() - sentinel_len);
-    std::stringstream ss(line);
-    CampaignCell cell;
-    std::string trained, field;
-    if (!std::getline(ss, cell.algorithm, ',')) continue;
-    if (!std::getline(ss, cell.dataset, ',')) continue;
-    if (!std::getline(ss, trained, ',')) continue;
-    cell.trained = trained == "1";
-    auto read_double = [&](double* out) {
-      if (!std::getline(ss, field, ',')) return false;
-      *out = std::strtod(field.c_str(), nullptr);
-      return true;
-    };
-    if (!read_double(&cell.accuracy)) continue;
-    if (!read_double(&cell.f1)) continue;
-    if (!read_double(&cell.earliness)) continue;
-    if (!read_double(&cell.harmonic_mean)) continue;
-    if (!read_double(&cell.train_seconds)) continue;
-    if (!read_double(&cell.test_seconds_per_instance)) continue;
-    if (!std::getline(ss, field, ',')) continue;
-    cell.retries = static_cast<int>(std::strtol(field.c_str(), nullptr, 10));
-    if (!std::getline(ss, field, ',')) continue;
-    cell.quarantined = field == "1";
-    std::getline(ss, cell.failure);
-    cell.failure = UnescapeJournalField(cell.failure);
-    const auto [it, inserted] =
-        index.emplace(std::make_pair(cell.algorithm, cell.dataset),
-                      cells_.size());
-    if (inserted) {
-      cells_.push_back(std::move(cell));
-    } else {
-      ++duplicates;
-      cells_[it->second] = std::move(cell);
-    }
-  }
+  ETSC_RETURN_NOT_OK(
+      rowlog::ScanRows(in, &skipped, [&](std::string_view body, size_t) {
+        if (body.rfind('@', 0) == 0) return Status::OK();  // control row
+        CampaignCell cell;
+        if (!fabric::ParseCellRow(body, &cell)) {
+          ++skipped;  // malformed: recomputed this run, like a torn row
+          return Status::OK();
+        }
+        const auto [it, inserted] = index.emplace(
+            std::make_pair(cell.algorithm, cell.dataset), cells_.size());
+        if (inserted) {
+          cells_.push_back(std::move(cell));
+        } else {
+          ++duplicates;
+          cells_[it->second] = std::move(cell);
+        }
+        return Status::OK();
+      }));
   if (skipped > 0) {
     Logf(LogLevel::kWarn, "campaign",
-         "cache %s: skipped %zu truncated row(s) from an interrupted write; "
-         "the cells will be recomputed",
+         "cache %s: skipped %zu truncated or malformed row(s); the cells will "
+         "be recomputed",
          config_.cache_path.c_str(), skipped);
   }
   if (duplicates > 0) {
@@ -471,60 +325,28 @@ Status Campaign::LoadCache(const std::string& expected_header) {
   return Status::OK();
 }
 
-std::string FormatJournalRow(const CampaignCell& cell) {
-  std::ostringstream out;
-  // max_digits10 so a resumed campaign reloads bit-identical scores.
-  out << std::setprecision(std::numeric_limits<double>::max_digits10);
-  // The failure field is free-form text from a Status message: escaped so a
-  // newline cannot tear the row and an embedded ",#end" cannot forge the
-  // sentinel (every comma is escaped, and the sentinel starts with one).
-  out << cell.algorithm << ',' << cell.dataset << ',' << (cell.trained ? 1 : 0)
-      << ',' << cell.accuracy << ',' << cell.f1 << ',' << cell.earliness << ','
-      << cell.harmonic_mean << ',' << cell.train_seconds << ','
-      << cell.test_seconds_per_instance << ',' << cell.retries << ','
-      << (cell.quarantined ? 1 : 0) << ','
-      << EscapeJournalField(cell.failure) << kRowSentinel;
-  return out.str();
-}
-
 void Campaign::AppendCache(const CampaignCell& cell) {
   TraceSpan span("campaign", "journal_append");
   if (MetricsEnabled()) JournalAppends().Add(1);
-  if (cache_state_ == CacheState::kStale) {
+  Status status;
+  if (journal_stale_) {
     // Appending under a foreign header would make these rows silently
     // unloadable forever; move the old journal out of the way first.
-    const std::string stale_path = config_.cache_path + ".stale";
-    std::remove(stale_path.c_str());
-    if (std::rename(config_.cache_path.c_str(), stale_path.c_str()) != 0) {
-      // Rotation failed (e.g. cross-device): truncating is still safe — the
-      // old rows were unloadable under this config anyway.
-      std::ofstream(config_.cache_path, std::ios::trunc);
-    }
-    cache_state_ = CacheState::kMissing;
+    status = rowlog::RotateStale(config_.cache_path);
+    journal_stale_ = !status.ok();
   }
-  // A crash can leave the journal without a trailing newline; appending right
-  // after the torn bytes would merge two rows into one sentinel-terminated,
-  // silently corrupt line. Start on a fresh line instead — the torn fragment
-  // then stays its own sentinel-less line, which the next load discards.
-  bool needs_newline = false;
-  {
-    std::ifstream existing(config_.cache_path, std::ios::binary);
-    if (existing && existing.seekg(-1, std::ios::end)) {
-      char last = '\n';
-      needs_newline = existing.get(last) && last != '\n';
-    }
+  // One cell can take hours; the row is flushed so a later crash costs at
+  // most the row being written, which the sentinel check then discards.
+  if (status.ok()) {
+    status = rowlog::AppendRow(config_.cache_path, journal_header_,
+                               fabric::FormatCellRow(cell));
   }
-  std::ofstream out(config_.cache_path, std::ios::app);
-  if (!out) return;
-  if (needs_newline) out << "\n";
-  if (cache_state_ == CacheState::kMissing) {
-    out << journal_header_ << "\n";
-    cache_state_ = CacheState::kLoaded;
+  if (!status.ok()) {
+    Logf(LogLevel::kWarn, "campaign",
+         "%s/%s was not journalled and will be recomputed next run: %s",
+         cell.algorithm.c_str(), cell.dataset.c_str(),
+         status.ToString().c_str());
   }
-  out << FormatJournalRow(cell) << "\n";
-  // One cell can take hours; flush so a later crash costs at most the row
-  // being written, which the sentinel check then discards.
-  out.flush();
 }
 
 const CampaignCell* Campaign::Find(const std::string& algorithm,
@@ -964,7 +786,7 @@ Status Campaign::RunWorker(const std::string& owner,
                          "cell not attempted")
                          .ToString();
       ETSC_RETURN_NOT_OK(
-          journal.Complete(acquired.index, FormatJournalRow(cell)));
+          journal.Complete(acquired.index, fabric::FormatCellRow(cell)));
       if (MetricsEnabled()) JournalAppends().Add(1);
       Logf(LogLevel::kWarn, "campaign", "  %s on %s: %s",
            gcell.algorithm.c_str(), gcell.dataset.c_str(),
@@ -980,7 +802,7 @@ Status Campaign::RunWorker(const std::string& owner,
       // still terminates the cell so the grid completes.
       cell.failure = prototype.status().ToString();
       ETSC_RETURN_NOT_OK(
-          journal.Complete(acquired.index, FormatJournalRow(cell)));
+          journal.Complete(acquired.index, fabric::FormatCellRow(cell)));
       if (MetricsEnabled()) JournalAppends().Add(1);
       continue;
     }
@@ -1048,7 +870,7 @@ Status Campaign::RunWorker(const std::string& owner,
     }
     ++computed;
     ETSC_RETURN_NOT_OK(
-        journal.Complete(acquired.index, FormatJournalRow(cell)));
+        journal.Complete(acquired.index, fabric::FormatCellRow(cell)));
     Logf(LogLevel::kInfo, "campaign", "  %s on %s: %s",
          gcell.algorithm.c_str(), gcell.dataset.c_str(),
          cell.trained ? "ok" : ("DNF: " + cell.failure).c_str());
@@ -1066,22 +888,18 @@ Result<MergeSummary> MergeShardJournals(const std::string& out_path,
   MergeSummary summary;
   std::map<std::pair<std::string, std::string>, std::string> rows;
   std::vector<std::pair<std::string, std::string>> order;
-  const size_t sentinel_len = sizeof(kRowSentinel) - 1;
   for (const auto& path : inputs) {
     std::ifstream in(path);
     if (!in) return Status::IOError("cannot read shard journal " + path);
     std::string line;
-    if (!std::getline(in, line) || line.rfind("# ", 0) != 0) {
+    ETSC_ASSIGN_OR_RETURN(
+        const rowlog::Header header,
+        rowlog::ReadHeader(in, path, fabric::kJournalHeaderPrefix,
+                           expected_header, &line));
+    if (header == rowlog::Header::kMissing) {
       return Status::DataLoss(path + ": missing journal header line");
     }
-    if (line != expected_header) {
-      const int theirs = fabric::HeaderVersion(line);
-      if (theirs > kJournalFormatVersion) {
-        return Status::FailedPrecondition(
-            path + " was written by a newer build (journal format v" +
-            std::to_string(theirs) + ", this binary reads up to v" +
-            std::to_string(kJournalFormatVersion) + "): upgrade the binary");
-      }
+    if (header == rowlog::Header::kForeign) {
       // Refuse rather than guess: shards from different configs or different
       // generated data must never be blended into one report. Name both
       // fingerprints so the operator can see exactly what disagrees.
@@ -1090,37 +908,30 @@ Result<MergeSummary> MergeShardJournals(const std::string& out_path,
           "refusing to interleave mismatched shards:\n  journal:  " + line +
           "\n  expected: " + expected_header);
     }
-    while (std::getline(in, line)) {
-      if (!line.empty() && line[0] == '@') {
-        ++summary.control_rows;  // lease/quarantine rows end with the merge
-        continue;
-      }
-      if (line.size() < sentinel_len ||
-          line.compare(line.size() - sentinel_len, sentinel_len,
-                       kRowSentinel) != 0) {
-        continue;  // truncated by a mid-write crash; drop like LoadCache does
-      }
-      const size_t c1 = line.find(',');
-      if (c1 == std::string::npos) continue;
-      const size_t c2 = line.find(',', c1 + 1);
-      if (c2 == std::string::npos) continue;
-      auto key = std::make_pair(line.substr(0, c1),
-                                line.substr(c1 + 1, c2 - c1 - 1));
-      const auto [it, inserted] = rows.emplace(key, line);
-      if (inserted) {
-        order.push_back(key);
-      } else {
-        it->second = line;  // resumed shard: the freshest row wins
-      }
-    }
+    size_t torn = 0;  // dropped like LoadCache drops them
+    ETSC_RETURN_NOT_OK(
+        rowlog::ScanRows(in, &torn, [&](std::string_view body, size_t) {
+          CampaignCell cell;
+          if (body.rfind('@', 0) == 0) {
+            ++summary.control_rows;  // lease/quarantine rows end with the merge
+          } else if (fabric::ParseCellRow(body, &cell)) {
+            auto key = std::make_pair(cell.algorithm, cell.dataset);
+            const auto [it, inserted] =
+                rows.emplace(key, rowlog::Seal(std::string(body)));
+            if (inserted) {
+              order.push_back(std::move(key));
+            } else {
+              it->second = rowlog::Seal(std::string(body));  // freshest wins
+            }
+          }
+          return Status::OK();
+        }));
   }
   summary.rows = rows.size();
 
-  std::ofstream out(out_path, std::ios::trunc);
-  if (!out) {
-    return Status::IOError("cannot write merged journal " + out_path);
-  }
-  out << expected_header << "\n";
+  std::remove(out_path.c_str());
+  rowlog::Appender out;
+  ETSC_RETURN_NOT_OK(out.Open(out_path, expected_header));
   std::map<std::pair<std::string, std::string>, bool> written;
   for (const auto& dataset : config.datasets) {
     for (const auto& algorithm : config.algorithms) {
@@ -1128,15 +939,13 @@ Result<MergeSummary> MergeShardJournals(const std::string& out_path,
       const auto it = rows.find({algorithm, dataset});
       if (it == rows.end()) continue;
       ++summary.terminal_cells;
-      out << it->second << "\n";
+      ETSC_RETURN_NOT_OK(out.Append(it->second));
       written[it->first] = true;
     }
   }
   for (const auto& key : order) {
-    if (!written.count(key)) out << rows[key] << "\n";
+    if (!written.count(key)) ETSC_RETURN_NOT_OK(out.Append(rows[key]));
   }
-  out.flush();
-  if (!out) return Status::IOError("write to " + out_path + " failed");
   summary.complete =
       summary.grid_cells > 0 && summary.terminal_cells == summary.grid_cells;
   return summary;

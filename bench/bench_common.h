@@ -7,11 +7,14 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/categorize.h"
 #include "core/classifier.h"
 #include "core/dataset.h"
+#include "core/fabric.h"
+#include "core/rowlog.h"
 #include "core/supervisor.h"
 #include "data/repository.h"
 
@@ -119,6 +122,10 @@ struct CampaignConfig {
   std::string Fingerprint() const;
 };
 
+/// Parses a shard selector "i/N" (digits only, 0 <= i < N) — the one
+/// grammar of ETSC_BENCH_SHARD and `etsc_cli --shard`.
+bool ParseShard(std::string_view spec, size_t* index, size_t* count);
+
 /// Names of the eight evaluated algorithms in the paper's plot order.
 const std::vector<std::string>& PaperAlgorithms();
 
@@ -136,23 +143,17 @@ inline constexpr int kJournalFormatVersion = 4;
 /// inputs. Fails when no configured dataset can be generated.
 Result<std::string> JournalHeaderForConfig(const CampaignConfig& config);
 
-/// Escapes one journal field for single-line CSV storage: backslash, newline,
-/// carriage return, and comma become two-character backslash sequences. With
-/// every comma escaped, an arbitrary failure message can neither tear a row
-/// across lines nor forge the `,#end` end-of-row sentinel.
-std::string EscapeJournalField(const std::string& raw);
+/// Journal field escaping, rowlog::EscapeField: with every comma escaped, an
+/// arbitrary failure message can neither tear a row across lines nor forge
+/// the end-of-row sentinel.
+inline std::string EscapeJournalField(const std::string& raw) {
+  return rowlog::EscapeField(raw);
+}
 
-/// Inverse of EscapeJournalField; unknown escape sequences pass through
-/// verbatim (forward compatibility with journals written by newer builds).
-std::string UnescapeJournalField(const std::string& escaped);
-
-struct CampaignCell;
-
-/// Serialises one cell as a journal row (sentinel-terminated, no trailing
-/// newline) with max_digits10 floats — the single row format shared by the
-/// single-process journal writer, the worker fabric, and the shard merge,
-/// which is what makes their journals byte-comparable.
-std::string FormatJournalRow(const CampaignCell& cell);
+/// Inverse of EscapeJournalField (rowlog::UnescapeField).
+inline std::string UnescapeJournalField(const std::string& escaped) {
+  return rowlog::UnescapeField(escaped);
+}
 
 /// What MergeShardJournals found and wrote.
 struct MergeSummary {
@@ -199,28 +200,9 @@ Result<std::unique_ptr<EarlyClassifier>> MakePaperAlgorithm(
     const std::string& algorithm, const std::string& dataset_name,
     size_t series_length);
 
-/// One (algorithm, dataset) cell of the campaign.
-struct CampaignCell {
-  std::string algorithm;
-  std::string dataset;
-  bool trained = false;
-  /// Failure string of the first failed fold (Fit error) or, when trained,
-  /// of the first degraded prediction (predict deadline overrun). Failed
-  /// cells are first-class results: recorded, journalled, reported.
-  std::string failure;
-  double accuracy = 0.0;
-  double f1 = 0.0;
-  double earliness = 1.0;
-  double harmonic_mean = 0.0;
-  double train_seconds = 0.0;
-  double test_seconds_per_instance = 0.0;
-  /// Total Fit retries across folds (fit_attempts - 1 summed); 0 when every
-  /// fold trained first try. Deterministic for a given config + fault spec.
-  int retries = 0;
-  /// True when the circuit breaker skipped this cell without attempting it
-  /// (failure then holds the SkippedQuarantine status string).
-  bool quarantined = false;
-};
+/// One (algorithm, dataset) cell of the campaign: the journal's cell row
+/// (core/fabric.h), parsed by the same codec on every reader.
+using CampaignCell = fabric::CellRow;
 
 /// The full evaluation campaign: every algorithm on every dataset with
 /// stratified CV, incrementally journalled so all fig/table benches share one
@@ -247,6 +229,8 @@ struct CampaignCell {
 ///    end-of-row sentinel; a trailing row truncated by a mid-write crash is
 ///    detected, skipped, and recomputed on the next run.
 class Campaign {
+  friend struct CampaignTestPeer;  // journal golden tests
+
  public:
   explicit Campaign(CampaignConfig config = CampaignConfig::FromEnv());
 
@@ -296,13 +280,6 @@ class Campaign {
                       double (*extract)(const CampaignCell&)) const;
 
  private:
-  /// Freshness of the on-disk journal relative to this config.
-  enum class CacheState {
-    kMissing,  // no file: first append writes the fingerprint header
-    kLoaded,   // fingerprint matched: appends go under the existing header
-    kStale,    // fingerprint mismatched: rotate aside before first append
-  };
-
   /// Wall-clock phase timings and cell counts of one Run(), for the report.
   struct RunStats {
     double load_cache_seconds = 0.0;
@@ -315,8 +292,9 @@ class Campaign {
     size_t cells_computed = 0;
   };
 
-  /// Loads journalled rows under `expected_header`; skips control rows and
-  /// torn rows; rejects journals claiming a format version newer than
+  /// Loads journalled rows under `expected_header`; skips control rows;
+  /// skips and counts torn or malformed rows (their cells are recomputed);
+  /// rejects journals claiming a format version newer than
   /// kJournalFormatVersion (actionable error instead of misparsed rows).
   Status LoadCache(const std::string& expected_header);
   /// Generates the configured datasets (profiles_, journal_header_) —
@@ -324,7 +302,8 @@ class Campaign {
   /// `benchmarks`; fails when not a single dataset could be generated.
   Status GenerateDatasets(std::vector<BenchmarkDataset>* benchmarks);
   /// Requires journal_mu_ when cells complete concurrently: a row must hit
-  /// the file whole (header decision, fresh-line check, write, flush).
+  /// the file whole (rotation, header, fresh-line check, write, flush). A
+  /// row the journal refuses is logged and recomputed by the next run.
   void AppendCache(const CampaignCell& cell);
   void WriteReport(const RunStats& stats) const;
   RepositoryOptions RepoOptions() const;
@@ -332,7 +311,10 @@ class Campaign {
   CampaignConfig config_;
   std::vector<CampaignCell> cells_;
   std::vector<DatasetProfile> profiles_;
-  CacheState cache_state_ = CacheState::kMissing;
+  /// The on-disk journal was written under another fingerprint: rotate it
+  /// aside before the first append (a missing journal gets its header from
+  /// the first append).
+  bool journal_stale_ = false;
   /// Header of the journal this run writes/expects (config fingerprint +
   /// combined dataset fingerprint); set by Run() after dataset generation.
   std::string journal_header_;

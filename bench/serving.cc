@@ -26,6 +26,7 @@
 
 #include "algos/registrations.h"
 #include "core/counters.h"
+#include "core/env.h"
 #include "core/evaluation.h"
 #include "core/parallel.h"
 #include "core/registry.h"
@@ -208,23 +209,13 @@ ShedNumbers RunShedPressure(
   return numbers;
 }
 
-size_t EnvCount(const char* name, size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  const unsigned long parsed = std::strtoul(raw, nullptr, 10);
-  return parsed > 0 ? static_cast<size_t>(parsed) : fallback;
-}
-
-std::string EnvString(const char* name, const char* fallback) {
-  const char* raw = std::getenv(name);
-  return (raw == nullptr || *raw == '\0') ? fallback : raw;
-}
-
 int WriteServingBench(const char* path) {
   const std::string dataset_name =
-      EnvString("ETSC_BENCH_SERVING_DATASET", "PowerCons");
-  const std::string algo = EnvString("ETSC_BENCH_SERVING_ALGO", "ects");
-  const size_t num_sessions = EnvCount("ETSC_BENCH_SERVING_SESSIONS", 2000);
+      etsc::env::StringOr("ETSC_BENCH_SERVING_DATASET", "PowerCons");
+  const std::string algo =
+      etsc::env::StringOr("ETSC_BENCH_SERVING_ALGO", "ects");
+  const size_t num_sessions = etsc::env::CountOr(
+      "bench", "ETSC_BENCH_SERVING_SESSIONS", 2000, 1, 1000000000);
 
   etsc::RepositoryOptions repo;
   auto benchmark = etsc::MakeBenchmarkDataset(dataset_name, repo);

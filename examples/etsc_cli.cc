@@ -64,6 +64,7 @@
 #include "core/composed.h"
 #include "core/counters.h"
 #include "core/csv.h"
+#include "core/env.h"
 #include "core/evaluation.h"
 #include "core/fault.h"
 #include "core/json.h"
@@ -313,22 +314,6 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
   return true;
 }
 
-bool ParseShardSpec(const std::string& spec, size_t* index, size_t* count) {
-  const size_t slash = spec.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= spec.size()) {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long long i = std::strtoull(spec.c_str(), &end, 10);
-  if (end != spec.c_str() + slash) return false;
-  const unsigned long long n = std::strtoull(spec.c_str() + slash + 1, &end, 10);
-  if (end != spec.c_str() + spec.size()) return false;
-  if (n == 0 || i >= n) return false;
-  *index = static_cast<size_t>(i);
-  *count = static_cast<size_t>(n);
-  return true;
-}
-
 /// Expands --classifiers x --triggers into composed '<base>+<trigger>' specs
 /// and exports them (plus --cost-alpha) through the ETSC_BENCH_* environment
 /// before any CampaignConfig::FromEnv() runs. Going through the environment —
@@ -367,7 +352,8 @@ int ApplyCompositionFlags(const CliArgs& args) {
 int RunCampaign(const CliArgs& args) {
   auto config = etsc::bench::CampaignConfig::FromEnv();
   if (!args.shard.empty() &&
-      !ParseShardSpec(args.shard, &config.shard_index, &config.shard_count)) {
+      !etsc::bench::ParseShard(args.shard, &config.shard_index,
+                               &config.shard_count)) {
     std::fprintf(stderr, "bad --shard spec '%s' (want I/N with 0 <= I < N)\n",
                  args.shard.c_str());
     return 1;
@@ -485,10 +471,8 @@ int RunCoordinator(const CliArgs& args, const char* argv0) {
     exe = self;
   }
 
-  int restarts_left = 3;
-  if (const char* env = std::getenv("ETSC_WORKER_RESTARTS")) {
-    restarts_left = std::max(0, std::atoi(env));
-  }
+  int restarts_left = static_cast<int>(
+      etsc::env::CountOr("campaign", "ETSC_WORKER_RESTARTS", 3, 0, 1000000));
   static etsc::Counter& worker_restarts =
       etsc::MetricRegistry::Global().counter("campaign.worker_restarts");
 

@@ -274,20 +274,21 @@ echo "check.sh: composition gate — 3x3 grid merged with cost scores, legacy ==
 # vector tail read would hide, plus the trigger suite (composed model
 # streams, stale-format cache demotion — more attacker-shaped bytes), plus
 # the serving WAL suite (torn tails, bit-flip corruption corpus — the newest
-# attacker-shaped parser in the tree).
+# attacker-shaped parser in the tree), plus the record-log suite that every
+# journal and WAL reader shares.
 cmake -B build-asan -S . -DETSC_SANITIZE=address
 cmake --build build-asan -j --target serialization_test corruption_test \
-  simd_test trigger_test serving_wal_test
+  simd_test trigger_test serving_wal_test rowlog_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard'
+  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard|RowLog'
 
 # UBSan over the same hostile-input suites: bit flips love to manufacture
 # out-of-range enums, shifts and size arithmetic that ASan alone won't flag.
 cmake -B build-ubsan -S . -DETSC_SANITIZE=undefined
 cmake --build build-ubsan -j --target serialization_test corruption_test \
-  simd_test trigger_test serving_wal_test
+  simd_test trigger_test serving_wal_test rowlog_test
 ctest --test-dir build-ubsan --output-on-failure -j"$(nproc)" \
-  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard'
+  -R 'Serialization|DatasetFingerprint|Corruption|Diagnostics|Simd|Soa|Trigger|StaleFormat|GoldenEquivalence|ServingWal|ServingIngestGuard|RowLog'
 
 # TSan, oversubscribed: only the targets whose tests exercise the pool, the
 # span/metric recording, the shared campaign journal, the model cache and the
@@ -298,13 +299,13 @@ ctest --test-dir build-ubsan --output-on-failure -j"$(nproc)" \
 cmake -B build-tsan -S . -DETSC_SANITIZE=thread
 cmake --build build-tsan -j --target parallel_test trace_test \
   journal_config_test serialization_test supervisor_test fabric_test \
-  streaming_test serving_test serving_wal_test trigger_test
+  streaming_test serving_test serving_wal_test trigger_test rowlog_test
 # The 'Serving' filter also picks up the WAL/shed/race suites of
 # serving_wal_test; the fork-based die-at death tests are excluded — TSan
 # does not support spawning threads after a multi-threaded fork, and the
 # child's DispatchBatch does exactly that.
 ETSC_THREADS=8 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-  -R 'Parallel|Trace|Counters|Journal|Campaign|Log|Json|Serialization|DatasetFingerprint|Supervisor|Watchdog|Backoff|CircuitBreaker|CancelToken|Retry|FailureTaxonomy|Fabric|Streaming|Serving|Trigger|StaleFormat|GoldenEquivalence' \
+  -R 'Parallel|Trace|Counters|Journal|Campaign|Log|Json|Serialization|DatasetFingerprint|Supervisor|Watchdog|Backoff|CircuitBreaker|CancelToken|Retry|FailureTaxonomy|Fabric|Streaming|Serving|Trigger|StaleFormat|GoldenEquivalence|RowLog' \
   -E 'ServingFaultDeathTest'
 
 echo "check.sh: all green"

@@ -1,6 +1,7 @@
 #ifndef ETSC_CORE_ENV_H_
 #define ETSC_CORE_ENV_H_
 
+#include <cstdint>
 #include <string>
 
 namespace etsc::env {
@@ -13,6 +14,12 @@ namespace etsc::env {
 /// only ever cost a warning line.
 double NumberOr(const char* subsystem, const char* name, double fallback,
                 double lo, double hi);
+
+/// Integer knob, same contract as NumberOr: the value must be a plain
+/// decimal count in [lo, hi] (surrounding whitespace allowed; no sign, no
+/// fraction, no trailing junk), otherwise it warns and keeps the fallback.
+uint64_t CountOr(const char* subsystem, const char* name, uint64_t fallback,
+                 uint64_t lo, uint64_t hi);
 
 /// String knob: unset or empty yields the fallback, anything else verbatim.
 std::string StringOr(const char* name, const char* fallback);

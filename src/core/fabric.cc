@@ -6,25 +6,18 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <map>
-#include <sstream>
 #include <utility>
 
 #include "core/counters.h"
+#include "core/env.h"
 #include "core/log.h"
 
 namespace etsc::fabric {
 
 namespace {
 
-constexpr char kRowSentinel[] = ",#end";
-constexpr size_t kSentinelLen = sizeof(kRowSentinel) - 1;
 constexpr char kLeaseTag[] = "@lease";
 constexpr char kQuarantineTag[] = "@quarantine";
 
@@ -56,55 +49,32 @@ Counter& QuarantinesPublished() {
   return c;
 }
 
-/// True when `rest` holds only trailing whitespace after a strtod parse.
-bool OnlyTrailingSpace(const char* rest) {
-  if (rest == nullptr) return false;
-  while (*rest != '\0') {
-    if (!std::isspace(static_cast<unsigned char>(*rest))) return false;
-    ++rest;
-  }
+/// 0/1 flag field.
+bool ParseFlag(std::string_view field, bool* out) {
+  if (field != "0" && field != "1") return false;
+  *out = field == "1";
   return true;
 }
 
-/// Validated positive-double override, matching the campaign env idiom:
-/// garbage or non-positive values warn and keep the default.
-double GetEnvPositiveOr(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value, &end);
-  if (end == value || !OnlyTrailingSpace(end) || errno == ERANGE ||
-      !(parsed > 0.0)) {
-    Logf(LogLevel::kWarn, "fabric",
-         "%s=\"%s\" is not a positive number; using the default (%g)", name,
-         value, fallback);
-    return fallback;
+/// Control-row grammar over a row body (sentinel stripped).
+ControlRow ParseControlBody(std::string_view body) {
+  ControlRow out;
+  std::vector<std::string_view> fields;
+  rowlog::SplitFields(body, &fields);
+  if (fields.size() == 5 && fields[0] == kLeaseTag) {
+    LeaseRow lease;
+    lease.algorithm = fields[1];
+    lease.dataset = fields[2];
+    lease.owner = fields[3];
+    if (!rowlog::ParseInt(fields[4], &lease.expiry_ms)) return out;
+    out.kind = ControlRowKind::kLease;
+    out.lease = std::move(lease);
+  } else if (fields.size() == 3 && fields[0] == kQuarantineTag) {
+    out.kind = ControlRowKind::kQuarantine;
+    out.quarantine.algorithm = fields[1];
+    out.quarantine.owner = fields[2];
   }
-  return parsed;
-}
-
-/// Splits a sentinel-stripped line on raw commas. Safe for journal rows:
-/// every comma inside a free-form field is escaped (bench EscapeJournalField),
-/// so raw commas are always field separators.
-std::vector<std::string> SplitFields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::stringstream ss(line);
-  std::string field;
-  while (std::getline(ss, field, ',')) fields.push_back(field);
-  if (!line.empty() && line.back() == ',') fields.emplace_back();
-  return fields;
-}
-
-bool ParseExpiry(const std::string& field, uint64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(field.c_str(), &end, 10);
-  if (end == field.c_str() || !OnlyTrailingSpace(end) || errno == ERANGE) {
-    return false;
-  }
-  *out = static_cast<uint64_t>(parsed);
-  return true;
+  return out;
 }
 
 }  // namespace
@@ -121,9 +91,10 @@ uint64_t MonotonicMs() {
 
 LeaseOptions LeaseOptions::FromEnv() {
   LeaseOptions options;
-  options.ttl_ms = GetEnvPositiveOr("ETSC_LEASE_TTL_MS", options.ttl_ms);
-  options.heartbeat_ms =
-      GetEnvPositiveOr("ETSC_HEARTBEAT_MS", options.heartbeat_ms);
+  options.ttl_ms = env::NumberOr("fabric", "ETSC_LEASE_TTL_MS",
+                                 options.ttl_ms, 1.0, 1e12);
+  options.heartbeat_ms = env::NumberOr("fabric", "ETSC_HEARTBEAT_MS",
+                                       options.heartbeat_ms, 1.0, 1e12);
   if (options.heartbeat_ms >= options.ttl_ms) {
     const double clamped = options.ttl_ms / 4.0;
     Logf(LogLevel::kWarn, "fabric",
@@ -135,57 +106,70 @@ LeaseOptions LeaseOptions::FromEnv() {
   return options;
 }
 
+std::string FormatCellRow(const CellRow& cell) {
+  return rowlog::Row(128)
+      .Text(cell.algorithm)
+      .Text(cell.dataset)
+      .Int(cell.trained ? 1 : 0)
+      .Real(cell.accuracy)
+      .Real(cell.f1)
+      .Real(cell.earliness)
+      .Real(cell.harmonic_mean)
+      .Real(cell.train_seconds)
+      .Real(cell.test_seconds_per_instance)
+      .Int(cell.retries)
+      .Int(cell.quarantined ? 1 : 0)
+      .Escaped(cell.failure)
+      .Seal();
+}
+
+bool ParseCellRow(std::string_view body, CellRow* cell) {
+  std::vector<std::string_view> f;
+  rowlog::SplitFields(body, &f);
+  if (f.size() != 12 || f[0].empty() || f[1].empty()) return false;
+  CellRow parsed;
+  uint64_t retries = 0;
+  if (!ParseFlag(f[2], &parsed.trained) ||
+      !rowlog::ParseReal(f[3], &parsed.accuracy) ||
+      !rowlog::ParseReal(f[4], &parsed.f1) ||
+      !rowlog::ParseReal(f[5], &parsed.earliness) ||
+      !rowlog::ParseReal(f[6], &parsed.harmonic_mean) ||
+      !rowlog::ParseReal(f[7], &parsed.train_seconds) ||
+      !rowlog::ParseReal(f[8], &parsed.test_seconds_per_instance) ||
+      !rowlog::ParseInt(f[9], &retries) || retries > 1000000 ||
+      !ParseFlag(f[10], &parsed.quarantined)) {
+    return false;
+  }
+  parsed.algorithm = f[0];
+  parsed.dataset = f[1];
+  parsed.retries = static_cast<int>(retries);
+  parsed.failure = rowlog::UnescapeField(f[11]);
+  *cell = std::move(parsed);
+  return true;
+}
+
 std::string FormatLeaseRow(const LeaseRow& row) {
-  std::ostringstream out;
-  out << kLeaseTag << ',' << row.algorithm << ',' << row.dataset << ','
-      << row.owner << ',' << row.expiry_ms << kRowSentinel;
-  return out.str();
+  return rowlog::Row()
+      .Text(kLeaseTag)
+      .Text(row.algorithm)
+      .Text(row.dataset)
+      .Text(row.owner)
+      .Int(static_cast<int64_t>(row.expiry_ms))
+      .Seal();
 }
 
 std::string FormatQuarantineRow(const QuarantineRow& row) {
-  std::ostringstream out;
-  out << kQuarantineTag << ',' << row.algorithm << ',' << row.owner
-      << kRowSentinel;
-  return out.str();
+  return rowlog::Row()
+      .Text(kQuarantineTag)
+      .Text(row.algorithm)
+      .Text(row.owner)
+      .Seal();
 }
 
-ControlRow ParseControlRow(const std::string& line) {
-  ControlRow out;
-  if (line.empty() || line[0] != '@') return out;
-  if (line.size() < kSentinelLen ||
-      line.compare(line.size() - kSentinelLen, kSentinelLen, kRowSentinel) !=
-          0) {
-    return out;  // torn by a mid-write crash: skip, never half-parse
-  }
-  const std::vector<std::string> fields =
-      SplitFields(line.substr(0, line.size() - kSentinelLen));
-  if (fields.size() == 5 && fields[0] == kLeaseTag) {
-    LeaseRow lease;
-    lease.algorithm = fields[1];
-    lease.dataset = fields[2];
-    lease.owner = fields[3];
-    if (!ParseExpiry(fields[4], &lease.expiry_ms)) return out;
-    out.kind = ControlRowKind::kLease;
-    out.lease = std::move(lease);
-    return out;
-  }
-  if (fields.size() == 3 && fields[0] == kQuarantineTag) {
-    out.kind = ControlRowKind::kQuarantine;
-    out.quarantine.algorithm = fields[1];
-    out.quarantine.owner = fields[2];
-    return out;
-  }
-  return out;
-}
-
-int HeaderVersion(const std::string& header_line) {
-  // "# v<digits>" prefix; anything else reads as version 0 (unversioned).
-  if (header_line.rfind("# v", 0) != 0) return 0;
-  const char* digits = header_line.c_str() + 3;
-  char* end = nullptr;
-  const long parsed = std::strtol(digits, &end, 10);
-  if (end == digits || parsed <= 0 || parsed > 1000000) return 0;
-  return static_cast<int>(parsed);
+ControlRow ParseControlRow(std::string_view line) {
+  std::string_view body;
+  if (!rowlog::Unseal(line, &body)) return ControlRow();  // never half-parse
+  return ParseControlBody(body);
 }
 
 FileLock::FileLock(const std::string& path) {
@@ -209,10 +193,14 @@ FileLock::~FileLock() {
 LeaseTable::LeaseTable(const std::vector<GridCell>& grid)
     : grid_(grid), statuses_(grid.size()) {}
 
-void LeaseTable::ApplyLine(const std::string& line) {
-  if (line.empty()) return;
-  if (line[0] == '@') {
-    const ControlRow control = ParseControlRow(line);
+void LeaseTable::ApplyLine(std::string_view line) {
+  std::string_view body;
+  if (rowlog::Unseal(line, &body)) ApplyRow(body);
+}
+
+void LeaseTable::ApplyRow(std::string_view body) {
+  if (!body.empty() && body[0] == '@') {
+    const ControlRow control = ParseControlBody(body);
     if (control.kind == ControlRowKind::kQuarantine) {
       quarantined_algorithms_.insert(control.quarantine.algorithm);
       return;
@@ -228,22 +216,14 @@ void LeaseTable::ApplyLine(const std::string& line) {
     }
     return;
   }
-  if (line[0] == '#') return;  // header
-  if (line.size() < kSentinelLen ||
-      line.compare(line.size() - kSentinelLen, kSentinelLen, kRowSentinel) !=
-          0) {
-    return;  // torn cell row
-  }
-  const std::vector<std::string> fields =
-      SplitFields(line.substr(0, line.size() - kSentinelLen));
-  // algorithm,dataset,trained,acc,f1,earl,hm,train_s,test_s,retries,
-  // quarantined,failure — the bench journal row layout.
-  if (fields.size() < 11) return;
+  CellRow cell;
+  if (!ParseCellRow(body, &cell)) return;
   for (size_t i = 0; i < grid_.size(); ++i) {
-    if (grid_[i].algorithm == fields[0] && grid_[i].dataset == fields[1]) {
+    if (grid_[i].algorithm == cell.algorithm &&
+        grid_[i].dataset == cell.dataset) {
       statuses_[i].terminal = true;
-      statuses_[i].trained = fields[2] == "1";
-      statuses_[i].quarantined_row = fields[10] == "1";
+      statuses_[i].trained = cell.trained;
+      statuses_[i].quarantined_row = cell.quarantined;
       return;
     }
   }
@@ -300,78 +280,48 @@ WorkerJournal::WorkerJournal(std::string path, std::string expected_header,
       grid_(std::move(grid)),
       options_(options) {}
 
-Status WorkerJournal::AppendLocked(const std::string& line) const {
-  // A crashed writer can leave the file without a trailing newline; starting
-  // on a fresh line keeps the torn fragment its own sentinel-less line,
-  // which every scanner discards (same discipline as Campaign::AppendCache).
-  bool needs_newline = false;
-  {
-    std::ifstream existing(path_, std::ios::binary);
-    if (existing && existing.seekg(-1, std::ios::end)) {
-      char last = '\n';
-      needs_newline = existing.get(last) && last != '\n';
-    }
-  }
-  std::ofstream out(path_, std::ios::app);
-  if (!out) return Status::IOError("fabric: cannot append to " + path_);
-  if (needs_newline) out << "\n";
-  out << line << "\n";
-  out.flush();
-  if (!out) return Status::IOError("fabric: short write to " + path_);
-  return Status::OK();
-}
-
 Status WorkerJournal::EnsureHeader() {
   FileLock lock(lock_path_);
   if (!lock.ok()) {
     return Status::IOError("fabric: cannot lock " + lock_path_);
   }
-  std::string first_line;
-  bool have_file = false;
+  rowlog::Header header = rowlog::Header::kMissing;
   {
     std::ifstream in(path_);
-    have_file = static_cast<bool>(in) && std::getline(in, first_line);
+    ETSC_ASSIGN_OR_RETURN(header,
+                          rowlog::ReadHeader(in, path_, kJournalHeaderPrefix,
+                                             expected_header_));
   }
-  if (!have_file || first_line.empty()) {
-    return AppendLocked(expected_header_);
+  if (header == rowlog::Header::kMatch) return Status::OK();
+  // A journal from another config is rotated aside, never appended to.
+  if (header == rowlog::Header::kForeign) {
+    ETSC_RETURN_NOT_OK(rowlog::RotateStale(path_));
   }
-  if (first_line == expected_header_) return Status::OK();
-  const int theirs = HeaderVersion(first_line);
-  const int mine = HeaderVersion(expected_header_);
-  if (mine > 0 && theirs > mine) {
-    return Status::FailedPrecondition(
-        "journal " + path_ + " was written by a newer build (format v" +
-        std::to_string(theirs) + ", this binary writes v" +
-        std::to_string(mine) +
-        "): upgrade the binary or point the worker at a fresh journal");
-  }
-  // Same discipline as the single-process campaign: a journal from another
-  // config is rotated aside, never appended to.
-  const std::string stale_path = path_ + ".stale";
-  std::remove(stale_path.c_str());
-  if (std::rename(path_.c_str(), stale_path.c_str()) != 0) {
-    std::ofstream(path_, std::ios::trunc);
-  }
-  Logf(LogLevel::kWarn, "fabric",
-       "journal %s has a different fingerprint; rotated to %s", path_.c_str(),
-       stale_path.c_str());
-  return AppendLocked(expected_header_);
+  return rowlog::Appender().Open(path_, expected_header_);
 }
 
 Result<LeaseTable> WorkerJournal::ScanLocked() const {
   std::ifstream in(path_);
-  if (!in) {
+  std::string line;
+  ETSC_ASSIGN_OR_RETURN(const rowlog::Header header,
+                        rowlog::ReadHeader(in, path_, kJournalHeaderPrefix,
+                                           expected_header_, &line));
+  if (header == rowlog::Header::kMissing) {
     return Status::IOError("fabric: cannot read journal " + path_ +
                            " (EnsureHeader not run?)");
   }
-  std::string line;
-  if (!std::getline(in, line) || line != expected_header_) {
+  if (header == rowlog::Header::kForeign) {
     return Status::FailedPrecondition(
         "fabric: journal " + path_ + " header changed underneath this worker:"
         "\n  journal:  " + line + "\n  expected: " + expected_header_);
   }
   LeaseTable table(grid_);
-  while (std::getline(in, line)) table.ApplyLine(line);
+  size_t torn = 0;  // torn rows are simply not applied
+  ETSC_RETURN_NOT_OK(
+      rowlog::ScanRows(in, &torn, [&](std::string_view body, size_t) {
+        table.ApplyRow(body);
+        return Status::OK();
+      }));
   return table;
 }
 
@@ -417,7 +367,8 @@ Result<WorkerJournal::Acquired> WorkerJournal::Acquire() {
   row.dataset = cell.dataset;
   row.owner = owner_;
   row.expiry_ms = now_ms + static_cast<uint64_t>(options_.ttl_ms);
-  ETSC_RETURN_NOT_OK(AppendLocked(FormatLeaseRow(row)));
+  ETSC_RETURN_NOT_OK(
+      rowlog::AppendRow(path_, expected_header_, FormatLeaseRow(row)));
   if (MetricsEnabled()) LeasesAcquired().Add(1);
   acquired.index = index;
   acquired.stolen = stolen;
@@ -463,7 +414,8 @@ Status WorkerJournal::Renew(size_t index) {
   row.dataset = cell.dataset;
   row.owner = owner_;
   row.expiry_ms = now_ms + static_cast<uint64_t>(options_.ttl_ms);
-  ETSC_RETURN_NOT_OK(AppendLocked(FormatLeaseRow(row)));
+  ETSC_RETURN_NOT_OK(
+      rowlog::AppendRow(path_, expected_header_, FormatLeaseRow(row)));
   if (MetricsEnabled()) Heartbeats().Add(1);
   return Status::OK();
 }
@@ -480,7 +432,8 @@ Status WorkerJournal::PublishQuarantine(const std::string& algorithm) {
   QuarantineRow row;
   row.algorithm = algorithm;
   row.owner = owner_;
-  ETSC_RETURN_NOT_OK(AppendLocked(FormatQuarantineRow(row)));
+  ETSC_RETURN_NOT_OK(
+      rowlog::AppendRow(path_, expected_header_, FormatQuarantineRow(row)));
   if (MetricsEnabled()) QuarantinesPublished().Add(1);
   Logf(LogLevel::kWarn, "fabric",
        "%s: published quarantine for %s — other workers will skip its "
@@ -495,7 +448,7 @@ Status WorkerJournal::Complete(size_t index, const std::string& cell_row) {
   if (!lock.ok()) {
     return Status::IOError("fabric: cannot lock " + lock_path_);
   }
-  return AppendLocked(cell_row);
+  return rowlog::AppendRow(path_, expected_header_, cell_row);
 }
 
 LeaseKeeper::LeaseKeeper(WorkerJournal* journal, size_t cell_index)

@@ -8,9 +8,11 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "core/rowlog.h"
 #include "core/status.h"
 
 namespace etsc::fabric {
@@ -18,10 +20,10 @@ namespace etsc::fabric {
 /// Multi-worker campaign fabric: the crash-safe campaign journal doubles as a
 /// durable lease-based work queue shared by N worker processes.
 ///
-/// Protocol. The journal stays an append-only text file whose first line is
-/// the campaign header and whose cell rows end with the `,#end` sentinel
-/// (bench/bench_common.h). Workers additionally append CONTROL rows — lines
-/// starting with '@', also sentinel-terminated, which result readers skip:
+/// Protocol. The journal is a core/rowlog record log whose header is the
+/// campaign header and whose result rows are cell rows (CellRow). Workers
+/// additionally append CONTROL rows — rows starting with '@', which result
+/// readers skip:
 ///
 ///   @lease,<algorithm>,<dataset>,<owner>,<expiry_ms>,#end
 ///   @quarantine,<algorithm>,<owner>,#end
@@ -43,10 +45,53 @@ namespace etsc::fabric {
 /// the same quarantine decisions bit-for-bit. A `@quarantine` row published
 /// by the worker that trips the breaker stops the other workers immediately.
 ///
-/// Crash safety. All appends inherit the sentinel discipline: a torn control
-/// row is ignored by every reader; a worker killed mid-cell leaves only a
-/// lease row whose expiry passes, after which the cell is stolen and re-run —
-/// no cell is ever lost and no cell row is ever overwritten.
+/// Crash safety. All appends inherit the record log's discipline: a torn
+/// control row is ignored by every reader; a worker killed mid-cell leaves
+/// only a lease row whose expiry passes, after which the cell is stolen and
+/// re-run — no cell is ever lost and no cell row is ever overwritten.
+
+/// Header prefix of the campaign journal: `# v<N> <fingerprint> data=<hex>`.
+inline constexpr char kJournalHeaderPrefix[] = "# v";
+
+/// One terminal campaign cell, the journal's result row:
+///
+///   <algorithm>,<dataset>,<trained>,<accuracy>,<f1>,<earliness>,
+///   <harmonic_mean>,<train_s>,<test_s_per_instance>,<retries>,
+///   <quarantined>,<escaped failure>,#end
+///
+/// Scores are `%.17g` so a resumed campaign reloads them bit-identically.
+struct CellRow {
+  std::string algorithm;
+  std::string dataset;
+  bool trained = false;
+  /// Failure string of the first failed fold (Fit error) or, when trained,
+  /// of the first degraded prediction (predict deadline overrun). Failed
+  /// cells are first-class results: recorded, journalled, reported.
+  std::string failure;
+  double accuracy = 0.0;
+  double f1 = 0.0;
+  double earliness = 1.0;
+  double harmonic_mean = 0.0;
+  double train_seconds = 0.0;
+  double test_seconds_per_instance = 0.0;
+  /// Total Fit retries across folds (fit_attempts - 1 summed); 0 when every
+  /// fold trained first try. Deterministic for a given config + fault spec.
+  int retries = 0;
+  /// True when the circuit breaker skipped this cell without attempting it
+  /// (failure then holds the SkippedQuarantine status string).
+  bool quarantined = false;
+};
+
+/// Serialises one cell as a sealed journal row (no trailing newline) — the
+/// single row format of the campaign journal, the worker fabric and the
+/// shard merge, which is what makes their journals byte-comparable.
+std::string FormatCellRow(const CellRow& cell);
+
+/// Strict parse of a cell row body (sentinel stripped): exactly the twelve
+/// fields FormatCellRow writes, flags 0/1, every number whole (`nan` is a
+/// number: empty-fold scores write it). False for anything else, which
+/// every reader skips and counts like a torn row.
+bool ParseCellRow(std::string_view body, CellRow* cell);
 
 /// "No cell" marker for grid indices.
 inline constexpr size_t kNoCell = static_cast<size_t>(-1);
@@ -56,8 +101,9 @@ inline constexpr size_t kNoCell = static_cast<size_t>(-1);
 uint64_t MonotonicMs();
 
 /// Lease timing knobs. FromEnv reads ETSC_LEASE_TTL_MS and ETSC_HEARTBEAT_MS
-/// (invalid or non-positive values warn and keep the default; a heartbeat
-/// that is not strictly shorter than the TTL is clamped to ttl_ms / 4).
+/// through env::NumberOr (values outside [1, 1e12] ms warn and keep the
+/// default; a heartbeat that is not strictly shorter than the TTL is clamped
+/// to ttl_ms / 4).
 struct LeaseOptions {
   /// A lease not renewed for this long is stealable.
   double ttl_ms = 5000.0;
@@ -108,14 +154,14 @@ struct ControlRow {
 };
 
 /// Parses one journal line as a control row; kind == kNone when it is not a
-/// well-formed, sentinel-terminated control row.
-ControlRow ParseControlRow(const std::string& line);
+/// well-formed, sealed control row.
+ControlRow ParseControlRow(std::string_view line);
 
 /// Extracts N from a journal header line of the form "# vN ..."; 0 when the
-/// line carries no parsable format version. Used to tell "journal from a
-/// newer build" (actionable error) apart from "journal from another config"
-/// (rotate aside).
-int HeaderVersion(const std::string& header_line);
+/// line carries no parsable format version.
+inline int HeaderVersion(std::string_view header_line) {
+  return rowlog::HeaderVersion(header_line, kJournalHeaderPrefix);
+}
 
 /// RAII exclusive advisory lock (flock) on `path`, creating the file if
 /// needed. Serialises journal read-scan-claim-append cycles across worker
@@ -156,9 +202,12 @@ class LeaseTable {
  public:
   explicit LeaseTable(const std::vector<GridCell>& grid);
 
-  /// Applies one journal line (cell row, control row, or junk — junk and
-  /// torn rows are ignored). Later lines win, matching keep-last dedup.
-  void ApplyLine(const std::string& line);
+  /// Applies one journal line (cell row, control row, or junk — junk, torn
+  /// and malformed rows are ignored). Later lines win, matching keep-last
+  /// dedup.
+  void ApplyLine(std::string_view line);
+  /// ApplyLine for a row body whose sentinel the caller already stripped.
+  void ApplyRow(std::string_view body);
 
   /// Lowest-index cell that is not terminal, whose prerequisite (if any) is
   /// terminal, and that is unleased or holds a lease expired at `now_ms`.
@@ -243,9 +292,6 @@ class WorkerJournal {
  private:
   /// Reads the journal into a LeaseTable; caller holds the file lock.
   Result<LeaseTable> ScanLocked() const;
-  /// Appends `line` + '\n', starting on a fresh line if a torn write left
-  /// the file without a trailing newline; flushes. Caller holds the lock.
-  Status AppendLocked(const std::string& line) const;
 
   const std::string path_;
   const std::string lock_path_;

@@ -1,11 +1,11 @@
 #include "core/serving.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <utility>
 
 #include "core/counters.h"
@@ -20,9 +20,7 @@ namespace etsc {
 
 namespace {
 
-// WAL grammar (DESIGN.md sec 16). One sentinel-terminated row per event, the
-// fabric journal's torn-row discipline: a row without the sentinel was cut by
-// a crash and is skipped, never half-parsed.
+// WAL grammar (DESIGN.md sec 16), one core/rowlog row per event:
 //   O,<id>,<model>,#end        session opened against <model>
 //   I,<id>,<v0>,<v1>,...,#end  one observation accepted (%.17g round-trips)
 //   F,<id>,#end                explicit Finish claimed the session
@@ -30,7 +28,6 @@ namespace {
 //   C,<id>,#end                session removed (Close / eviction / shed)
 constexpr int kWalVersion = 1;
 constexpr const char kWalHeaderPrefix[] = "# etscwal v";
-constexpr const char kWalSentinel[] = ",#end";
 
 Counter& Opened() {
   static Counter& c =
@@ -136,60 +133,13 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-bool EndsWith(const std::string& text, const char* suffix) {
-  const size_t n = std::strlen(suffix);
-  return text.size() >= n && text.compare(text.size() - n, n, suffix) == 0;
-}
-
-std::vector<std::string> SplitRow(const std::string& body) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  while (true) {
-    const size_t comma = body.find(',', start);
-    if (comma == std::string::npos) {
-      fields.push_back(body.substr(start));
-      return fields;
-    }
-    fields.push_back(body.substr(start, comma - start));
-    start = comma + 1;
-  }
-}
-
-bool ParseU64(const std::string& field, uint64_t* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(field.c_str(), &end, 10);
-  if (end != field.c_str() + field.size() || errno == ERANGE) return false;
-  *out = static_cast<uint64_t>(parsed);
-  return true;
-}
-
-bool ParseFiniteDouble(const std::string& field, double* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  const double parsed = std::strtod(field.c_str(), &end);
-  if (end != field.c_str() + field.size() || !std::isfinite(parsed)) {
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-/// Header line → WAL version; error when the line is not a WAL header at all
-/// (Recover must not mistake an arbitrary file for a journal).
-Result<int> ParseWalHeader(const std::string& line) {
-  const size_t n = std::strlen(kWalHeaderPrefix);
-  if (line.compare(0, n, kWalHeaderPrefix) != 0) {
-    return Status::FailedPrecondition(
-        "Recover: not a serving WAL (header '" + line + "')");
-  }
-  uint64_t version = 0;
-  if (!ParseU64(line.substr(n), &version) || version == 0) {
-    return Status::FailedPrecondition(
-        "Recover: unparseable WAL header '" + line + "'");
-  }
-  return static_cast<int>(version);
+/// `<kind>,<id>` — the start of every WAL row. Rows other than `I` fit the
+/// string's inline buffer, so only observation rows reserve heap space.
+rowlog::Row WalRow(const char* kind, SessionId id,
+                          size_t reserve = 0) {
+  rowlog::Row row(reserve);
+  row.Text(kind).Int(static_cast<int64_t>(id));
+  return row;
 }
 
 std::string WalHeaderLine() {
@@ -274,63 +224,19 @@ Status ServingEngine::RegisterModel(
 }
 
 Status ServingEngine::WalArmLocked(bool keep_existing) {
-  if (wal_armed_) return Status::OK();
-  bool fresh = true;
-  bool needs_newline = false;
-  {
-    std::ifstream probe(wal_path_, std::ios::binary);
-    if (probe) {
-      probe.seekg(0, std::ios::end);
-      if (probe.tellg() > 0) {
-        fresh = false;
-        probe.seekg(-1, std::ios::end);
-        char last = '\n';
-        probe.get(last);
-        needs_newline = last != '\n';
-      }
-    }
-  }
-  if (!fresh && !keep_existing) {
-    // An existing file this engine never Recover()ed is some other run's
-    // history: rotate it aside (the journal's .stale discipline) rather than
-    // interleave two histories in one file.
-    const std::string stale = wal_path_ + ".stale";
-    Logf(LogLevel::kWarn, "serving",
-         "rotating un-recovered WAL %s to %s before journaling",
-         wal_path_.c_str(), stale.c_str());
-    std::remove(stale.c_str());
-    if (std::rename(wal_path_.c_str(), stale.c_str()) != 0) {
-      return Status::IOError("cannot rotate stale serving WAL " + wal_path_);
-    }
-    fresh = true;
-    needs_newline = false;
-  }
-  wal_out_.open(wal_path_, std::ios::binary | std::ios::app);
-  if (!wal_out_) {
-    return Status::IOError("cannot open serving WAL " + wal_path_);
-  }
-  // Fresh-line discipline: terminate any torn tail fragment so the next row
-  // starts on its own line (the fragment stays sentinel-less and is skipped
-  // by every future Recover).
-  if (needs_newline) wal_out_ << '\n';
-  if (fresh) wal_out_ << WalHeaderLine() << '\n';
-  wal_out_.flush();
-  if (!wal_out_) {
-    return Status::IOError("cannot write serving WAL header " + wal_path_);
-  }
-  wal_armed_ = true;
-  return Status::OK();
+  if (wal_.is_open()) return Status::OK();
+  // An existing file this engine never Recover()ed is some other run's
+  // history: rotate it aside rather than interleave two histories.
+  return wal_.Open(wal_path_, WalHeaderLine(),
+                   keep_existing ? rowlog::Appender::Existing::kContinue
+                                 : rowlog::Appender::Existing::kRotate);
 }
 
 Status ServingEngine::WalAppend(const std::string& row) {
   if (wal_path_.empty()) return Status::OK();
   std::lock_guard<std::mutex> lock(wal_mu_);
   ETSC_RETURN_NOT_OK(WalArmLocked(/*keep_existing=*/false));
-  wal_out_ << row << kWalSentinel << '\n';
-  wal_out_.flush();
-  if (!wal_out_) {
-    return Status::IOError("serving WAL append failed: " + wal_path_);
-  }
+  ETSC_RETURN_NOT_OK(wal_.Append(row));
   ++wal_appends_;
   if (MetricsEnabled()) WalAppends().Add(1);
   return Status::OK();
@@ -345,7 +251,7 @@ Result<WalRecovery> ServingEngine::Recover(const std::string& path) {
   }
   {
     std::lock_guard<std::mutex> wal_lock(wal_mu_);
-    if (wal_armed_) {
+    if (wal_.is_open()) {
       return Status::FailedPrecondition(
           "Recover: WAL already armed; recover before any journaled activity");
     }
@@ -353,167 +259,157 @@ Result<WalRecovery> ServingEngine::Recover(const std::string& path) {
   }
 
   WalRecovery rec;
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::string line;
-    while (in && std::getline(in, line)) lines.push_back(line);
+  std::ifstream in(path, std::ios::binary);
+  std::string header_line;
+  ETSC_ASSIGN_OR_RETURN(const rowlog::Header header,
+                        rowlog::ReadHeader(in, path, kWalHeaderPrefix,
+                                           WalHeaderLine(), &header_line));
+  if (header == rowlog::Header::kForeign) {
+    // Recover must not mistake an arbitrary file for a journal.
+    return Status::FailedPrecondition("Recover: not a serving WAL (header '" +
+                                      header_line + "')");
   }
-  if (!lines.empty()) {
-    ETSC_ASSIGN_OR_RETURN(const int version, ParseWalHeader(lines[0]));
-    if (version > kWalVersion) {
-      return Status::FailedPrecondition(
-          "Recover: WAL " + path + " is format v" + std::to_string(version) +
-          " but this build reads up to v" + std::to_string(kWalVersion) +
-          "; upgrade the binary before recovering");
-    }
-  }
-  // Arm the appender on the same file BEFORE replaying: recovery continues
-  // the history, it never rotates it, and any row the replay itself produces
-  // (a deadline force) lands after everything it replayed.
-  {
-    std::lock_guard<std::mutex> wal_lock(wal_mu_);
-    ETSC_RETURN_NOT_OK(WalArmLocked(/*keep_existing=*/true));
-  }
-
-  // A malformed sentineled row poisons the rebuild; the engine is cleared so
-  // a caller that ignores the error cannot serve from half a history.
-  const auto fail = [&](Status error) -> Status {
-    sessions_.clear();
-    next_id_ = 1;
-    return error;
-  };
 
   SessionId max_id = 0;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    const std::string& raw = lines[i];
-    if (raw.empty()) continue;
-    if (!EndsWith(raw, kWalSentinel)) {
-      // Torn by a crash mid-append: by the append discipline only the final
-      // row can be torn, and its event was never acknowledged — skip it.
-      ++rec.torn_rows;
-      continue;
-    }
-    const std::string line_ref = path + ":" + std::to_string(i + 1);
-    const std::vector<std::string> f =
-        SplitRow(raw.substr(0, raw.size() - std::strlen(kWalSentinel)));
-    uint64_t id = 0;
-    if (f.size() < 2 || f[0].size() != 1 || !ParseU64(f[1], &id) || id == 0) {
-      return fail(Status::DataLoss("Recover: malformed WAL row at " + line_ref));
-    }
-    switch (f[0][0]) {
-      case 'O': {
-        if (f.size() != 3) {
-          return fail(
-              Status::DataLoss("Recover: malformed open row at " + line_ref));
+  std::vector<std::string_view> f;
+  // A malformed sealed row is DataLoss (a complete-but-wrong row means
+  // corruption, not a crash) and poisons the whole rebuild.
+  Status replayed = rowlog::ScanRows(
+      in, &rec.torn_rows, [&](std::string_view body, size_t line) -> Status {
+        const auto at = [&] { return path + ":" + std::to_string(line); };
+        rowlog::SplitFields(body, &f);
+        uint64_t id = 0;
+        if (f.size() < 2 || f[0].size() != 1 || !rowlog::ParseInt(f[1], &id) ||
+            id == 0) {
+          return Status::DataLoss("Recover: malformed WAL row at " + at());
         }
-        const auto model_it = model_index_.find(f[2]);
-        if (model_it == model_index_.end()) {
-          return fail(Status::FailedPrecondition(
-              "Recover: WAL row at " + line_ref + " needs model '" + f[2] +
-              "', which is not registered"));
-        }
-        if (sessions_.count(id) != 0) {
-          return fail(
-              Status::DataLoss("Recover: duplicate session open at " + line_ref));
-        }
-        const ModelEntry& entry = models_[model_it->second];
-        sessions_.emplace(
-            id, std::make_unique<Session>(
-                    id, model_it->second, *entry.model, entry.num_variables,
-                    options_.expected_length,
-                    Deadline::After(options_.session_budget_seconds)));
-        max_id = std::max(max_id, id);
-        break;
-      }
-      case 'I': {
-        const auto it = sessions_.find(id);
-        if (it == sessions_.end()) {
-          return fail(Status::DataLoss(
-              "Recover: observation for unknown session at " + line_ref));
-        }
-        Session& session = *it->second;
-        const size_t arity = models_[session.model_index].num_variables;
-        if (f.size() != 2 + arity) {
-          return fail(Status::DataLoss(
-              "Recover: observation arity mismatch at " + line_ref));
-        }
-        std::vector<double> values(arity);
-        for (size_t v = 0; v < arity; ++v) {
-          if (!ParseFiniteDouble(f[2 + v], &values[v])) {
-            return fail(Status::DataLoss(
-                "Recover: unparseable observation value at " + line_ref));
+        switch (f[0][0]) {
+          case 'O': {
+            if (f.size() != 3) {
+              return Status::DataLoss("Recover: malformed open row at " + at());
+            }
+            const auto model_it = model_index_.find(std::string(f[2]));
+            if (model_it == model_index_.end()) {
+              return Status::FailedPrecondition(
+                  "Recover: WAL row at " + at() + " needs model '" +
+                  std::string(f[2]) + "', which is not registered");
+            }
+            if (sessions_.count(id) != 0) {
+              return Status::DataLoss("Recover: duplicate session open at " +
+                                      at());
+            }
+            const ModelEntry& entry = models_[model_it->second];
+            sessions_.emplace(
+                id, std::make_unique<Session>(
+                        id, model_it->second, *entry.model,
+                        entry.num_variables, options_.expected_length,
+                        Deadline::After(options_.session_budget_seconds)));
+            max_id = std::max(max_id, id);
+            return Status::OK();
           }
-        }
-        session.pending.push_back(std::move(values));
-        ++session.ingested;
-        ++rec.observations_replayed;
-        break;
-      }
-      case 'F':
-      case 'D': {
-        const auto it = sessions_.find(id);
-        if (it == sessions_.end()) {
-          return fail(Status::DataLoss(
-              "Recover: finish for unknown session at " + line_ref));
-        }
-        Session& session = *it->second;
-        // How much of the queue the original finish consumed: an explicit
-        // Finish claimed everything journaled before its row; a deadline
-        // force ran with exactly <n> values observed — observations that
-        // raced past the force stay queued, exactly as they did live.
-        size_t stop_at = std::numeric_limits<size_t>::max();
-        if (f[0][0] == 'D') {
-          uint64_t n = 0;
-          if (f.size() != 3 || !ParseU64(f[2], &n)) {
-            return fail(Status::DataLoss(
-                "Recover: malformed force-finish row at " + line_ref));
+          case 'I': {
+            const auto it = sessions_.find(id);
+            if (it == sessions_.end()) {
+              return Status::DataLoss(
+                  "Recover: observation for unknown session at " + at());
+            }
+            Session& session = *it->second;
+            const size_t arity = models_[session.model_index].num_variables;
+            if (f.size() != 2 + arity) {
+              return Status::DataLoss(
+                  "Recover: observation arity mismatch at " + at());
+            }
+            std::vector<double> values(arity);
+            for (size_t v = 0; v < arity; ++v) {
+              if (!rowlog::ParseReal(f[2 + v], &values[v]) ||
+                  !std::isfinite(values[v])) {
+                return Status::DataLoss(
+                    "Recover: unparseable observation value at " + at());
+              }
+            }
+            session.pending.push_back(std::move(values));
+            ++session.ingested;
+            ++rec.observations_replayed;
+            return Status::OK();
           }
-          stop_at = static_cast<size_t>(n);
-        } else if (f.size() != 2) {
-          return fail(
-              Status::DataLoss("Recover: malformed finish row at " + line_ref));
-        }
-        size_t used = 0;
-        while (used < session.pending.size() &&
-               session.stream.observed() < stop_at) {
-          auto out = session.stream.Push(session.pending[used]);
-          ++used;
-          if (!out.ok()) {
-            if (session.error.ok()) session.error = out.status();
-            break;
+          case 'F':
+          case 'D': {
+            const auto it = sessions_.find(id);
+            if (it == sessions_.end()) {
+              return Status::DataLoss(
+                  "Recover: finish for unknown session at " + at());
+            }
+            Session& session = *it->second;
+            // How much of the queue the original finish consumed: an explicit
+            // Finish claimed everything journaled before its row; a deadline
+            // force ran with exactly <n> values observed — observations that
+            // raced past the force stay queued, exactly as they did live.
+            size_t stop_at = std::numeric_limits<size_t>::max();
+            if (f[0][0] == 'D') {
+              uint64_t n = 0;
+              if (f.size() != 3 || !rowlog::ParseInt(f[2], &n)) {
+                return Status::DataLoss(
+                    "Recover: malformed force-finish row at " + at());
+              }
+              stop_at = static_cast<size_t>(n);
+            } else if (f.size() != 2) {
+              return Status::DataLoss("Recover: malformed finish row at " +
+                                      at());
+            }
+            size_t used = 0;
+            while (used < session.pending.size() &&
+                   session.stream.observed() < stop_at) {
+              auto out = session.stream.Push(session.pending[used]);
+              ++used;
+              if (!out.ok()) {
+                if (session.error.ok()) session.error = out.status();
+                break;
+              }
+            }
+            if (f[0][0] == 'F') {
+              // Live Finish flushed the whole claim, sticky discards included.
+              used = session.pending.size();
+            }
+            session.pending.erase(session.pending.begin(),
+                                  session.pending.begin() + used);
+            const bool had_decision = session.stream.decision().has_value();
+            if (session.error.ok() && session.stream.observed() > 0) {
+              auto finished = session.stream.Finish();
+              if (finished.ok() && !had_decision && f[0][0] == 'D') {
+                session.deadline_forced = true;
+              }
+            }
+            ++rec.finishes_replayed;
+            return Status::OK();
           }
-        }
-        if (f[0][0] == 'F') {
-          // Live Finish flushed the whole claim, sticky discards included.
-          used = session.pending.size();
-        }
-        session.pending.erase(session.pending.begin(),
-                              session.pending.begin() + used);
-        const bool had_decision = session.stream.decision().has_value();
-        if (session.error.ok() && session.stream.observed() > 0) {
-          auto finished = session.stream.Finish();
-          if (finished.ok() && !had_decision && f[0][0] == 'D') {
-            session.deadline_forced = true;
+          case 'C': {
+            const auto it = sessions_.find(id);
+            if (it == sessions_.end()) {
+              return Status::DataLoss("Recover: close for unknown session at " +
+                                      at());
+            }
+            sessions_.erase(it);
+            ++rec.sessions_removed;
+            return Status::OK();
           }
+          default:
+            return Status::DataLoss("Recover: unknown WAL row kind at " + at());
         }
-        ++rec.finishes_replayed;
-        break;
-      }
-      case 'C': {
-        const auto it = sessions_.find(id);
-        if (it == sessions_.end()) {
-          return fail(Status::DataLoss(
-              "Recover: close for unknown session at " + line_ref));
-        }
-        sessions_.erase(it);
-        ++rec.sessions_removed;
-        break;
-      }
-      default:
-        return fail(
-            Status::DataLoss("Recover: unknown WAL row kind at " + line_ref));
-    }
+      });
+  // Arm the appender on the same file before anything new is journaled:
+  // recovery continues the history, it never rotates it, and any row the
+  // dispatch below produces (a deadline force) lands after everything it
+  // replayed.
+  if (replayed.ok()) {
+    std::lock_guard<std::mutex> wal_lock(wal_mu_);
+    replayed = WalArmLocked(/*keep_existing=*/true);
+  }
+  if (!replayed.ok()) {
+    // The engine is cleared so a caller that ignores the error cannot serve
+    // from half a history.
+    sessions_.clear();
+    next_id_ = 1;
+    return replayed;
   }
   next_id_ = std::max(next_id_, max_id + 1);
   rec.sessions_recovered = sessions_.size();
@@ -588,7 +484,7 @@ Result<SessionId> ServingEngine::Open(const std::string& model_name) {
   // Write-ahead: if the journal refuses the row, the open never happened
   // (and the id was not consumed).
   ETSC_RETURN_NOT_OK(
-      WalAppend("O," + std::to_string(id) + "," + entry.name));
+      WalAppend(WalRow("O", id).Text(entry.name).Seal()));
   ++next_id_;
   sessions_.emplace(
       id, std::make_unique<Session>(
@@ -633,14 +529,9 @@ Status ServingEngine::Ingest(SessionId id, const std::vector<double>& values) {
     }
   }
   if (!wal_path_.empty()) {
-    std::string row = "I," + std::to_string(id);
-    char buf[40];
-    for (const double v : values) {
-      // 17 significant digits round-trip every finite double exactly.
-      std::snprintf(buf, sizeof(buf), ",%.17g", v);
-      row += buf;
-    }
-    ETSC_RETURN_NOT_OK(WalAppend(row));
+    rowlog::Row row = WalRow("I", id, 32 + 25 * values.size());
+    for (const double v : values) row.Real(v);
+    ETSC_RETURN_NOT_OK(WalAppend(row.Seal()));
   }
   session.pending.push_back(values);
   session.last_activity = std::chrono::steady_clock::now();
@@ -688,8 +579,9 @@ void ServingEngine::RunSession(Session* session) {
     // is what keeps the replayed force at the same prefix. If the journal
     // refuses, the force is skipped and retried at the next dispatch.
     const Status wal =
-        WalAppend("D," + std::to_string(session->id) + "," +
-                  std::to_string(session->stream.observed()));
+        WalAppend(WalRow("D", session->id)
+                      .Int(static_cast<int64_t>(session->stream.observed()))
+                      .Seal());
     if (!wal.ok()) {
       Logf(LogLevel::kWarn, "serving",
            "deferring deadline force of session %llu: %s",
@@ -786,7 +678,7 @@ Result<EarlyPrediction> ServingEngine::Finish(SessionId id) {
     }
     // Journaled at claim time, under the table lock: every observation row
     // before this F row is exactly the claim the finish flushes.
-    ETSC_RETURN_NOT_OK(WalAppend("F," + std::to_string(id)));
+    ETSC_RETURN_NOT_OK(WalAppend(WalRow("F", id).Seal()));
     had_decision = session->stream.decision().has_value();
     session->taking = std::exchange(session->pending, {});
     session->decided_in_batch = false;
@@ -843,7 +735,7 @@ Status ServingEngine::Close(SessionId id) {
     return Status::Unavailable("Close: session " + std::to_string(id) +
                                " is being dispatched");
   }
-  ETSC_RETURN_NOT_OK(WalAppend("C," + std::to_string(id)));
+  ETSC_RETURN_NOT_OK(WalAppend(WalRow("C", id).Seal()));
   sessions_.erase(it);
   ++stats_.closed;
   stats_.live_sessions = sessions_.size();
@@ -858,7 +750,7 @@ bool ServingEngine::RemoveSessionLocked(
     std::map<SessionId, std::unique_ptr<Session>>::iterator it) {
   // Write-ahead: a removal the journal refused did not happen — the session
   // stays (and stays reclaimable by a later pass).
-  const Status wal = WalAppend("C," + std::to_string(it->first));
+  const Status wal = WalAppend(WalRow("C", it->first).Seal());
   if (!wal.ok()) {
     Logf(LogLevel::kWarn, "serving",
          "keeping session %llu: WAL close row failed (%s)",

@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -15,6 +14,7 @@
 #include "core/classifier.h"
 #include "core/dataset.h"
 #include "core/deadline.h"
+#include "core/rowlog.h"
 #include "core/status.h"
 #include "core/streaming.h"
 
@@ -291,10 +291,10 @@ class ServingEngine {
   /// watchdog_grace > 0 the replay runs under a supervisor watchdog watch.
   void RunSession(Session* session);
 
-  /// Appends one sentinel-terminated row to the WAL (lazily arming it on
-  /// first use — an existing un-Recover()ed file rotates to .stale) and
-  /// flushes. OK when the WAL is disabled. Thread-safe (own mutex, nested
-  /// inside mu_ where both are held).
+  /// Appends one sealed row to the WAL (lazily arming it on first use — an
+  /// existing un-Recover()ed file rotates to .stale) and flushes. OK when
+  /// the WAL is disabled. Thread-safe (own mutex, nested inside mu_ where
+  /// both are held).
   Status WalAppend(const std::string& row);
   Status WalArmLocked(bool keep_existing);
 
@@ -322,8 +322,7 @@ class ServingEngine {
   // lazily. Lock order: mu_ before wal_mu_ (RunSession takes wal_mu_ alone).
   mutable std::mutex wal_mu_;
   std::string wal_path_;
-  std::ofstream wal_out_;
-  bool wal_armed_ = false;
+  rowlog::Appender wal_;  // open once armed
   size_t wal_appends_ = 0;
 };
 

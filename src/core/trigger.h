@@ -11,6 +11,7 @@
 #include "core/classifier.h"
 #include "core/dataset.h"
 #include "core/deadline.h"
+#include "core/registry.h"
 #include "core/serialize.h"
 #include "core/status.h"
 #include "core/time_series.h"
@@ -190,61 +191,35 @@ class Trigger {
   }
 };
 
+namespace internal {
+inline constexpr char kTriggerNoun[] = "trigger";
+inline constexpr char kTriggerListing[] = "registered triggers";
+inline constexpr char kBaseClassifierNoun[] = "base classifier";
+inline constexpr char kBaseClassifierListing[] = "registered base classifiers";
+}  // namespace internal
+
 /// Name -> factory registry for triggers: the second registry namespace next
 /// to ClassifierRegistry. Unknown names yield a structured NotFound listing
 /// the registered trigger names (and only those — the namespaces never mix).
-class TriggerRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<Trigger>()>;
-
-  static TriggerRegistry& Global();
-
-  Status Register(const std::string& name, Factory factory);
-  Result<std::unique_ptr<Trigger>> Create(const std::string& name) const;
-  bool Contains(const std::string& name) const;
-  std::vector<std::string> Names() const;
-
- private:
-  std::map<std::string, Factory> factories_;
-};
+using TriggerRegistry = Registry<Trigger, internal::kTriggerNoun,
+                                 internal::kTriggerListing>;
 
 /// Name -> factory registry for base (full) classifiers usable as the
 /// classifier half of a composition.
-class BaseClassifierRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<FullClassifier>()>;
-
-  static BaseClassifierRegistry& Global();
-
-  Status Register(const std::string& name, Factory factory);
-  Result<std::unique_ptr<FullClassifier>> Create(const std::string& name) const;
-  bool Contains(const std::string& name) const;
-  std::vector<std::string> Names() const;
-
- private:
-  std::map<std::string, Factory> factories_;
-};
-
-namespace internal {
-struct TriggerRegistrar {
-  TriggerRegistrar(const std::string& name, TriggerRegistry::Factory factory);
-};
-struct BaseClassifierRegistrar {
-  BaseClassifierRegistrar(const std::string& name,
-                          BaseClassifierRegistry::Factory factory);
-};
-}  // namespace internal
+using BaseClassifierRegistry =
+    Registry<FullClassifier, internal::kBaseClassifierNoun,
+             internal::kBaseClassifierListing>;
 
 /// Registers a trigger factory at static-initialisation time:
 ///   ETSC_REGISTER_TRIGGER("prob", [] { return std::make_unique<ProbTrigger>(); });
 #define ETSC_REGISTER_TRIGGER(name, factory)                            \
-  static const ::etsc::internal::TriggerRegistrar ETSC_CONCAT_(         \
-      etsc_trigger_registrar_, __COUNTER__)(name, factory)
+  static const ::etsc::internal::Registrar<::etsc::TriggerRegistry>     \
+      ETSC_CONCAT_(etsc_trigger_registrar_, __COUNTER__)(name, factory)
 
 /// Registers a base-classifier factory at static-initialisation time.
-#define ETSC_REGISTER_BASE_CLASSIFIER(name, factory)                    \
-  static const ::etsc::internal::BaseClassifierRegistrar ETSC_CONCAT_(  \
-      etsc_base_registrar_, __COUNTER__)(name, factory)
+#define ETSC_REGISTER_BASE_CLASSIFIER(name, factory)                      \
+  static const ::etsc::internal::Registrar<::etsc::BaseClassifierRegistry> \
+      ETSC_CONCAT_(etsc_base_registrar_, __COUNTER__)(name, factory)
 
 }  // namespace etsc
 

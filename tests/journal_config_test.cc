@@ -162,6 +162,21 @@ TEST(Journal, TornRowIsSkippedButLaterRowsStillLoad) {
   EXPECT_EQ(cell->failure, "msg, with commas");
 }
 
+TEST(Journal, RowWithAnUnparseableNumberIsRecomputedNotLoaded) {
+  auto config = JournalConfig("journal_bad_number.csv");
+  // Sealed, so not torn — but "banana" is no accuracy. Loading it would pin
+  // a bogus trained cell (accuracy 0) that is never recomputed.
+  WriteJournal(config, {"ECTS,DodgerLoopGame,1,banana,0.5,0.25,0.5,1,0.001,0,"
+                        "0,,#end"});
+
+  bench::Campaign campaign(config);
+  ASSERT_TRUE(campaign.Run().ok());
+  const bench::CampaignCell* cell = campaign.Find("ECTS", "DodgerLoopGame");
+  ASSERT_NE(cell, nullptr);
+  EXPECT_TRUE(cell->trained);
+  EXPECT_GT(cell->accuracy, 0.0);  // recomputed, not the garbage row
+}
+
 // ---------------------------------------------------------------------------
 // Shardable campaigns
 // ---------------------------------------------------------------------------

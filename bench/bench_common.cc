@@ -1,12 +1,14 @@
 #include "bench/bench_common.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <string_view>
+#include <thread>
 #include <utility>
 
 #include "algos/ecec.h"
@@ -17,9 +19,6 @@
 #include "algos/strut.h"
 #include "algos/teaser.h"
 #include "core/composed.h"
-#include <chrono>
-#include <thread>
-
 #include "core/counters.h"
 #include "core/env.h"
 #include "core/evaluation.h"
@@ -74,7 +73,8 @@ CampaignConfig CampaignConfig::FromEnv() {
   CampaignConfig config;
   config.height_scale = env::NumberOr("campaign", "ETSC_BENCH_SCALE",
                                       config.height_scale, 0.0, 1e6);
-  config.folds = env::CountOr("campaign", "ETSC_BENCH_FOLDS", config.folds, 0,
+  // Stratified CV needs two folds at least (StratifiedKFold checks k >= 2); a smaller value warns and keeps the default.
+  config.folds = env::CountOr("campaign", "ETSC_BENCH_FOLDS", config.folds, 2,
                               1000000000);
   config.train_budget_seconds =
       env::NumberOr("campaign", "ETSC_BENCH_BUDGET",
@@ -201,14 +201,6 @@ Campaign::Campaign(CampaignConfig config) : config_(std::move(config)) {
   }
 }
 
-RepositoryOptions Campaign::RepoOptions() const {
-  RepositoryOptions repo;
-  repo.seed = config_.seed;
-  repo.height_scale = config_.height_scale;
-  repo.maritime_windows = config_.maritime_windows;
-  return repo;
-}
-
 namespace {
 
 std::string Hex16(uint64_t v) {
@@ -244,9 +236,14 @@ Counter& CellsComputed() {
   return c;
 }
 
-}  // namespace
-
-Result<std::string> JournalHeaderForConfig(const CampaignConfig& config) {
+/// The one derivation of a campaign's data and journal identity: generates
+/// `config`'s datasets in configuration order (a dataset that fails is
+/// logged and left out), hands each generated one to `keep`, and returns the
+/// header `# <config fingerprint> data=<16-hex combined dataset fingerprint>`
+/// over exactly those datasets. Fails when none can be generated.
+Result<std::string> GenerateCampaignData(
+    const CampaignConfig& config,
+    const std::function<void(BenchmarkDataset&&)>& keep) {
   RepositoryOptions repo;
   repo.seed = config.seed;
   repo.height_scale = config.height_scale;
@@ -254,17 +251,26 @@ Result<std::string> JournalHeaderForConfig(const CampaignConfig& config) {
   std::vector<uint64_t> fingerprints;
   for (const auto& dataset_name : config.datasets) {
     auto benchmark = MakeBenchmarkDataset(dataset_name, repo);
-    // Skipping a failed dataset mirrors Run(): both sides hash exactly the
-    // datasets the campaign would evaluate.
-    if (!benchmark.ok()) continue;
+    if (!benchmark.ok()) {
+      Logf(LogLevel::kError, "campaign", "dataset %s failed: %s",
+           dataset_name.c_str(), benchmark.status().ToString().c_str());
+      continue;
+    }
     fingerprints.push_back(benchmark->data.Fingerprint());
+    keep(std::move(*benchmark));
   }
   if (fingerprints.empty()) {
     return Status::NotFound(
-        "journal header: no configured dataset could be generated");
+        "campaign: no configured dataset could be generated");
   }
   return "# " + config.Fingerprint() +
          " data=" + Hex16(CombineDataFingerprints(fingerprints));
+}
+
+}  // namespace
+
+Result<std::string> JournalHeaderForConfig(const CampaignConfig& config) {
+  return GenerateCampaignData(config, [](BenchmarkDataset&&) {});
 }
 
 Status Campaign::LoadCache(const std::string& expected_header) {
@@ -359,21 +365,11 @@ const CampaignCell* Campaign::Find(const std::string& algorithm,
 
 namespace {
 
-/// One uncached (algorithm, dataset) cell scheduled on the thread pool. The
-/// dataset pointer refers into a vector that outlives the task group; the
-/// prototype is owned here so tasks never share mutable classifier state.
-struct CellJob {
-  const BenchmarkDataset* benchmark = nullptr;
-  std::string algorithm;
-  std::unique_ptr<EarlyClassifier> prototype;
-  CampaignCell cell;
-  double cpu_seconds = 0.0;
-};
-
 /// Wraps `classifier` in the fault decorator an ETSC_BENCH_FAULT entry
 /// requests for `algorithm`; a prototype not named in the spec passes through
 /// untouched. Entries are ALGO:KIND with an optional :k ("ECTS:flaky:2");
-/// the first matching entry wins. Unknown kinds warn and inject nothing.
+/// the first matching entry wins. Unknown kinds and a :k that is not a count
+/// in [1, 1000000] warn and inject nothing.
 std::unique_ptr<EarlyClassifier> ApplyFaultSpec(
     const std::string& spec, const std::string& algorithm,
     std::unique_ptr<EarlyClassifier> classifier) {
@@ -383,16 +379,24 @@ std::unique_ptr<EarlyClassifier> ApplyFaultSpec(
       continue;
     }
     std::string kind = entry.substr(colon + 1);
-    int k = 1;
+    uint64_t k = 1;
     const size_t param = kind.find(':');
     if (param != std::string::npos) {
-      k = std::max(1, std::atoi(kind.c_str() + param + 1));
+      if (!rowlog::ParseInt(std::string_view(kind).substr(param + 1), &k) ||
+          k < 1 || k > 1000000) {
+        Logf(LogLevel::kWarn, "campaign",
+             "ETSC_BENCH_FAULT entry \"%s\": \"%s\" is not a count in [1, "
+             "1000000]",
+             entry.c_str(), kind.c_str() + param + 1);
+        continue;
+      }
       kind.resize(param);
     }
     if (kind == "flaky") {
       // Transient: each fold's Fit fails the first k attempts, then succeeds
       // — recoverable with ETSC_RETRY_MAX >= k, scores identical to clean.
-      return std::make_unique<FlakyClassifier>(std::move(classifier), k);
+      return std::make_unique<FlakyClassifier>(std::move(classifier),
+                                               static_cast<int>(k));
     }
     if (kind == "crash") {
       // Deterministic kInternal on every Fit: fails fast (no retry) and
@@ -413,7 +417,8 @@ std::unique_ptr<EarlyClassifier> ApplyFaultSpec(
       // Abrupt process exit on this algorithm's k-th campaign cell: the
       // journal is left exactly as a SIGKILL would leave it (possibly with a
       // live lease row), which is what the worker-fabric crash drill needs.
-      return std::make_unique<DieAtClassifier>(std::move(classifier), k);
+      return std::make_unique<DieAtClassifier>(std::move(classifier),
+                                               static_cast<int>(k));
     }
     Logf(LogLevel::kWarn, "campaign",
          "ETSC_BENCH_FAULT entry \"%s\": unknown fault kind \"%s\" (known: "
@@ -421,6 +426,166 @@ std::unique_ptr<EarlyClassifier> ApplyFaultSpec(
          entry.c_str(), kind.c_str());
   }
   return classifier;
+}
+
+/// The grid both executors walk: dataset-major over the configured
+/// algorithms MakePaperAlgorithm knows, each cell gated on its algorithm's
+/// previous cell (the lane prerequisite of fabric::GridCell).
+struct GridPlan {
+  std::vector<fabric::GridCell> cells;
+  /// Per cell: the generated dataset it evaluates.
+  std::vector<const BenchmarkDataset*> benchmarks;
+  /// Per cell: its index in the full configured grid, unknown algorithms
+  /// included. The shard partition uses it, so `--shard` assignments do not
+  /// depend on which configured names are known.
+  std::vector<size_t> configured_index;
+};
+
+GridPlan PlanGrid(const std::vector<std::string>& algorithms,
+                  const std::vector<BenchmarkDataset>& benchmarks) {
+  // One probe prototype per configured name: an unknown algorithm warns
+  // once per campaign and never enters the grid — a cell that can never
+  // produce a row would wedge the fabric's completion check forever.
+  std::vector<bool> known;
+  for (const auto& algorithm : algorithms) {
+    const auto probe =
+        MakePaperAlgorithm(algorithm, benchmarks.front().canonical_profile.name,
+                           benchmarks.front().data.MaxLength());
+    if (!probe.ok()) {
+      Logf(LogLevel::kWarn, "campaign", "%s",
+           probe.status().ToString().c_str());
+    }
+    known.push_back(probe.ok());
+  }
+  GridPlan plan;
+  std::map<std::string, size_t> last_in_lane;
+  for (size_t b = 0; b < benchmarks.size(); ++b) {
+    for (size_t a = 0; a < algorithms.size(); ++a) {
+      if (!known[a]) continue;
+      fabric::GridCell cell;
+      cell.algorithm = algorithms[a];
+      cell.dataset = benchmarks[b].canonical_profile.name;
+      const auto [last, first] =
+          last_in_lane.emplace(cell.algorithm, plan.cells.size());
+      if (!first) {
+        cell.prerequisite = last->second;
+        last->second = plan.cells.size();
+      }
+      plan.cells.push_back(std::move(cell));
+      plan.benchmarks.push_back(&benchmarks[b]);
+      plan.configured_index.push_back(b * algorithms.size() + a);
+    }
+  }
+  return plan;
+}
+
+/// Feeds one cell outcome into `breaker`; true when it trips the breaker.
+bool RecordOutcome(const std::string& algorithm, const std::string& dataset,
+                   bool trained, CircuitBreaker* breaker) {
+  if (trained) {
+    breaker->RecordSuccess(algorithm);
+    return false;
+  }
+  return breaker->RecordFailure(algorithm, dataset);
+}
+
+/// The one breaker replay: feeds `algorithm`'s journalled outcomes into
+/// `breaker` in grid (dataset-major) order; quarantine rows are skips, not
+/// evidence, and replaying them would double-count. Lanes serialise each
+/// algorithm's cells — threads in Run, lane prerequisites across workers —
+/// so every replay continues the failure streak a single-process lane would
+/// have accumulated and quarantine decisions are bit-identical. Returns
+/// whether `algorithm` is quarantined.
+bool ReplayLane(const std::vector<fabric::GridCell>& grid,
+                const std::vector<fabric::CellStatus>& journalled,
+                const std::string& algorithm, CircuitBreaker* breaker) {
+  for (size_t i = 0; i < grid.size(); ++i) {
+    if (grid[i].algorithm != algorithm || !journalled[i].terminal ||
+        journalled[i].quarantined_row) {
+      continue;
+    }
+    RecordOutcome(algorithm, grid[i].dataset, journalled[i].trained, breaker);
+  }
+  return breaker->IsQuarantined(algorithm);
+}
+
+/// The row of a cell the breaker skipped: never attempted, an explicit
+/// first-class row so reports and resumed campaigns can tell "skipped by
+/// the breaker" from "tried and failed". Logs the skip.
+CampaignCell QuarantinedCell(const fabric::GridCell& at) {
+  CampaignCell cell;
+  cell.algorithm = at.algorithm;
+  cell.dataset = at.dataset;
+  cell.quarantined = true;
+  cell.failure = Status::SkippedQuarantine(
+                     at.algorithm +
+                     " quarantined after repeated failures; cell not attempted")
+                     .ToString();
+  Logf(LogLevel::kWarn, "campaign", "  %s on %s: %s", at.algorithm.c_str(),
+       at.dataset.c_str(), cell.failure.c_str());
+  return cell;
+}
+
+/// The classifier a cell evaluates: the paper algorithm for its dataset,
+/// wrapped in any fault the config's fault spec asks for.
+Result<std::unique_ptr<EarlyClassifier>> CellPrototype(
+    const CampaignConfig& config, const fabric::GridCell& at,
+    const BenchmarkDataset& benchmark) {
+  ETSC_ASSIGN_OR_RETURN(
+      std::unique_ptr<EarlyClassifier> prototype,
+      MakePaperAlgorithm(at.algorithm, at.dataset, benchmark.data.MaxLength()));
+  return ApplyFaultSpec(config.fault_spec, at.algorithm, std::move(prototype));
+}
+
+/// The one cell evaluation: cross-validates `prototype` on `benchmark` with
+/// the campaign's evaluation options and returns the cell's row — scores,
+/// the Fit retries the supervisor spent across folds, the first failure (a
+/// Fit error on an untrained cell, or a degraded prediction such as a
+/// predict deadline overrun on a trained one) and timings. `cpu_seconds`
+/// receives the CPU time the folds spent.
+CampaignCell EvaluateCell(const CampaignConfig& config,
+                          const std::shared_ptr<const ModelCache>& model_cache,
+                          const fabric::GridCell& at,
+                          const BenchmarkDataset& benchmark,
+                          const EarlyClassifier& prototype,
+                          double* cpu_seconds) {
+  Logf(LogLevel::kInfo, "campaign", "%s on %s (%zu instances)...",
+       at.algorithm.c_str(), at.dataset.c_str(), benchmark.data.size());
+  EvaluationOptions options;
+  options.num_folds = config.folds;
+  options.seed = config.seed;
+  options.train_budget_seconds = config.train_budget_seconds;
+  options.predict_budget_seconds = config.predict_budget_seconds;
+  options.model_cache = model_cache;
+  options.retry = config.supervisor.retry;
+  options.watchdog_grace = config.supervisor.watchdog_grace;
+  const EvaluationResult result =
+      CrossValidate(benchmark.data, prototype, options);
+
+  CampaignCell cell;
+  cell.algorithm = at.algorithm;
+  cell.dataset = at.dataset;
+  cell.trained = result.trained();
+  for (const auto& fold : result.folds) {
+    cell.retries += std::max(0, fold.fit_attempts - 1);
+    if (cell.failure.empty() && !fold.failure.empty()) {
+      cell.failure = fold.failure;
+    }
+  }
+  const EvalScores scores = result.MeanScores();
+  cell.accuracy = scores.accuracy;
+  cell.f1 = scores.f1;
+  cell.earliness = scores.earliness;
+  cell.harmonic_mean = scores.harmonic_mean;
+  cell.train_seconds = result.MeanTrainSeconds();
+  cell.test_seconds_per_instance = result.MeanTestSecondsPerInstance();
+  *cpu_seconds = result.CpuSeconds();
+  if (MetricsEnabled()) CellsComputed().Add(1);
+  Logf(LogLevel::kInfo, "campaign", "  %s on %s: %s", at.algorithm.c_str(),
+       at.dataset.c_str(),
+       cell.trained ? scores.ToString().c_str()
+                    : ("DNF: " + cell.failure).c_str());
+  return cell;
 }
 
 }  // namespace
@@ -433,24 +598,13 @@ Status Campaign::GenerateDatasets(std::vector<BenchmarkDataset>* benchmarks) {
   // fingerprint, so the expected header is only known once the data exists.
   profiles_.clear();
   benchmarks->reserve(benchmarks->size() + config_.datasets.size());
-  std::vector<uint64_t> data_fingerprints;
-  for (const auto& dataset_name : config_.datasets) {
-    auto benchmark = MakeBenchmarkDataset(dataset_name, RepoOptions());
-    if (!benchmark.ok()) {
-      Logf(LogLevel::kError, "campaign", "dataset %s failed: %s",
-           dataset_name.c_str(), benchmark.status().ToString().c_str());
-      continue;
-    }
-    profiles_.push_back(benchmark->canonical_profile);
-    data_fingerprints.push_back(benchmark->data.Fingerprint());
-    benchmarks->push_back(*std::move(benchmark));
-  }
-  if (benchmarks->empty()) {
-    return Status::NotFound(
-        "campaign: no configured dataset could be generated");
-  }
-  journal_header_ = "# " + config_.Fingerprint() +
-                    " data=" + Hex16(CombineDataFingerprints(data_fingerprints));
+  auto header =
+      GenerateCampaignData(config_, [&](BenchmarkDataset&& benchmark) {
+        profiles_.push_back(benchmark.canonical_profile);
+        benchmarks->push_back(std::move(benchmark));
+      });
+  if (!header.ok()) return header.status();
+  journal_header_ = std::move(*header);
   return Status::OK();
 }
 
@@ -474,40 +628,46 @@ Status Campaign::Run() {
   stats.load_cache_seconds = phase.Seconds();
   stats.cells_loaded = cells_.size();
 
-  // Phase 2 (serial): build the work list of uncached cells, dataset-major
-  // like the reports. Prototypes are constructed here so an unknown
-  // algorithm warns exactly once, in deterministic order.
+  // Phase 2 (serial): claim this shard's uncached grid cells, dataset-major
+  // like the reports, as one lane per algorithm (stable grouping keeps each
+  // lane in dataset order, which the breaker determinism argument needs).
+  // The shard partition runs over the FULL configured grid, cached or not,
+  // so every shard agrees on the assignment whatever each has journalled.
   phase.Restart();
+  struct CellJob {
+    size_t index = 0;  // into plan.cells
+    std::unique_ptr<EarlyClassifier> prototype;
+    CampaignCell cell;
+    double cpu_seconds = 0.0;
+  };
+  const GridPlan plan = PlanGrid(config_.algorithms, benchmarks);
+  std::vector<fabric::CellStatus> journalled(plan.cells.size());
   std::vector<CellJob> jobs;
-  for (size_t b = 0; b < benchmarks.size(); ++b) {
-    const BenchmarkDataset& benchmark = benchmarks[b];
-    const std::string& dataset_name = benchmark.canonical_profile.name;
-    for (size_t a = 0; a < config_.algorithms.size(); ++a) {
-      const std::string& algorithm = config_.algorithms[a];
-      // Shard partition over the FULL dataset-major grid (before any cache
-      // check), so every shard agrees on the assignment regardless of what
-      // each has already journalled.
-      const size_t grid_index = b * config_.algorithms.size() + a;
-      if (config_.shard_count > 1 &&
-          grid_index % config_.shard_count != config_.shard_index) {
-        continue;
-      }
-      if (Find(algorithm, dataset_name) != nullptr) continue;  // cached
-      if (config_.report_only) continue;  // reporting a running campaign
-      auto prototype = MakePaperAlgorithm(algorithm, dataset_name,
-                                          benchmark.data.MaxLength());
-      if (!prototype.ok()) {
-        Logf(LogLevel::kWarn, "campaign", "%s",
-             prototype.status().ToString().c_str());
-        continue;
-      }
-      CellJob job;
-      job.benchmark = &benchmark;
-      job.algorithm = algorithm;
-      job.prototype = ApplyFaultSpec(config_.fault_spec, algorithm,
-                                     std::move(*prototype));
-      jobs.push_back(std::move(job));
+  std::vector<std::vector<size_t>> lanes;
+  std::map<std::string, size_t> lane_of;
+  for (size_t i = 0; i < plan.cells.size(); ++i) {
+    const fabric::GridCell& at = plan.cells[i];
+    if (const CampaignCell* cached = Find(at.algorithm, at.dataset)) {
+      journalled[i].terminal = true;
+      journalled[i].trained = cached->trained;
+      journalled[i].quarantined_row = cached->quarantined;
+      continue;
     }
+    if (config_.report_only) continue;  // reporting a running campaign
+    if (config_.shard_count > 1 &&
+        plan.configured_index[i] % config_.shard_count != config_.shard_index) {
+      continue;
+    }
+    auto prototype = CellPrototype(config_, at, *plan.benchmarks[i]);
+    if (!prototype.ok()) {
+      Logf(LogLevel::kWarn, "campaign", "%s",
+           prototype.status().ToString().c_str());
+      continue;
+    }
+    const auto [lane, inserted] = lane_of.emplace(at.algorithm, lanes.size());
+    if (inserted) lanes.emplace_back();
+    lanes[lane->second].push_back(jobs.size());
+    jobs.push_back({i, std::move(*prototype), {}, 0.0});
   }
   stats.plan_seconds = phase.Seconds();
   stats.cells_computed = jobs.size();
@@ -520,126 +680,45 @@ Status Campaign::Run() {
     return Status::OK();
   }
 
-  // Phase 3 (parallel): compute cells as one serial LANE per algorithm. Each
+  // Phase 3 (parallel): the lanes run concurrently, each cell in turn. Each
   // cell is seeded from config_.seed alone (CrossValidate splits per-fold
   // seeds before its own dispatch), so results are bit-identical to a serial
   // run; only the log lines and journal row order vary with scheduling.
-  // Lanes keep the circuit breaker deterministic: an algorithm's failure
-  // streak evolves in dataset order within its own lane, so which cells are
-  // quarantined cannot depend on how threads interleave across algorithms.
+  // An algorithm's failure streak evolves in dataset order within its own
+  // lane, so which cells are quarantined cannot depend on how threads
+  // interleave across algorithms.
   phase.Restart();
   // Resolved once and shared by every cell: with ETSC_MODEL_CACHE set, folds
   // whose fitted model is already on disk skip Fit entirely (counted as
   // eval.fits_skipped), which is what makes re-running shards cheap.
   const std::shared_ptr<const ModelCache> model_cache = ModelCache::FromEnv();
   CircuitBreaker breaker(config_.supervisor.quarantine_after);
-  // Replay journalled outcomes into the breaker in dataset-major order so a
-  // resumed campaign continues the same failure streaks a fresh run would
-  // have accumulated; quarantine rows are skips, not evidence, and replaying
-  // them would double-count.
-  for (const auto& benchmark : benchmarks) {
-    const std::string& dataset_name = benchmark.canonical_profile.name;
-    for (const auto& algorithm : config_.algorithms) {
-      const CampaignCell* cached = Find(algorithm, dataset_name);
-      if (cached == nullptr || cached->quarantined) continue;
-      if (cached->trained) {
-        breaker.RecordSuccess(algorithm);
-      } else {
-        breaker.RecordFailure(algorithm, dataset_name);
-      }
-    }
-  }
-  // jobs is dataset-major; stable per-algorithm grouping keeps every lane's
-  // cells in dataset order, which the breaker determinism argument needs.
-  std::vector<std::vector<size_t>> lanes;
-  {
-    std::map<std::string, size_t> lane_of;
-    for (size_t j = 0; j < jobs.size(); ++j) {
-      const auto [it, inserted] = lane_of.emplace(jobs[j].algorithm, lanes.size());
-      if (inserted) lanes.emplace_back();
-      lanes[it->second].push_back(j);
-    }
-  }
   TaskGroup group;
   for (const auto& lane : lanes) {
-    group.Run([this, &jobs, &model_cache, &breaker, &lane]() -> Status {
+    group.Run([this, &plan, &journalled, &jobs, &model_cache, &breaker,
+               &lane]() -> Status {
+      ReplayLane(plan.cells, journalled,
+                 plan.cells[jobs[lane.front()].index].algorithm, &breaker);
       for (const size_t j : lane) {
         CellJob& job = jobs[j];
-        const std::string& dataset_name = job.benchmark->canonical_profile.name;
-        CampaignCell& cell = job.cell;
-        cell.algorithm = job.algorithm;
-        cell.dataset = dataset_name;
-        if (breaker.IsQuarantined(job.algorithm)) {
-          // Never attempted: an explicit first-class row, so reports and
-          // resumed campaigns can tell "skipped by the breaker" from
-          // "tried and failed".
-          cell.quarantined = true;
-          cell.failure = Status::SkippedQuarantine(
-                             job.algorithm +
-                             " quarantined after repeated failures; "
-                             "cell not attempted")
-                             .ToString();
-          {
-            std::lock_guard<std::mutex> lock(journal_mu_);
-            AppendCache(cell);
-          }
-          Logf(LogLevel::kWarn, "campaign", "  %s on %s: %s",
-               job.algorithm.c_str(), dataset_name.c_str(),
-               cell.failure.c_str());
+        const fabric::GridCell& at = plan.cells[job.index];
+        if (breaker.IsQuarantined(at.algorithm)) {
+          job.cell = QuarantinedCell(at);
+          std::lock_guard<std::mutex> lock(journal_mu_);
+          AppendCache(job.cell);
           continue;
         }
         TraceSpan cell_span("campaign", [&] {
-          return "cell:" + job.algorithm + "/" + dataset_name;
+          return "cell:" + at.algorithm + "/" + at.dataset;
         });
-        Logf(LogLevel::kInfo, "campaign", "%s on %s (%zu instances)...",
-             job.algorithm.c_str(), dataset_name.c_str(),
-             job.benchmark->data.size());
-
-        EvaluationOptions options;
-        options.num_folds = config_.folds;
-        options.seed = config_.seed;
-        options.train_budget_seconds = config_.train_budget_seconds;
-        options.predict_budget_seconds = config_.predict_budget_seconds;
-        options.model_cache = model_cache;
-        options.retry = config_.supervisor.retry;
-        options.watchdog_grace = config_.supervisor.watchdog_grace;
-        const EvaluationResult result =
-            CrossValidate(job.benchmark->data, *job.prototype, options);
-
-        cell.trained = result.trained();
-        // Surface the first failure — a Fit error on an untrained cell, or a
-        // degraded prediction (e.g. predict deadline overrun) on a trained
-        // one — and the total Fit retries the supervisor spent across folds.
-        for (const auto& fold : result.folds) {
-          cell.retries += std::max(0, fold.fit_attempts - 1);
-          if (cell.failure.empty() && !fold.failure.empty()) {
-            cell.failure = fold.failure;
-          }
-        }
-        const EvalScores scores = result.MeanScores();
-        cell.accuracy = scores.accuracy;
-        cell.f1 = scores.f1;
-        cell.earliness = scores.earliness;
-        cell.harmonic_mean = scores.harmonic_mean;
-        cell.train_seconds = result.MeanTrainSeconds();
-        cell.test_seconds_per_instance = result.MeanTestSecondsPerInstance();
-        job.cpu_seconds = result.CpuSeconds();
-        if (cell.trained) {
-          breaker.RecordSuccess(job.algorithm);
-        } else {
-          breaker.RecordFailure(job.algorithm, dataset_name);
-        }
-        if (MetricsEnabled()) CellsComputed().Add(1);
-        {
-          // The journal is shared by all cells; the lock keeps each flushed
-          // row whole so a reload never sees interleaved fragments.
-          std::lock_guard<std::mutex> lock(journal_mu_);
-          AppendCache(cell);
-        }
-        Logf(LogLevel::kInfo, "campaign", "  %s on %s: %s",
-             job.algorithm.c_str(), dataset_name.c_str(),
-             cell.trained ? scores.ToString().c_str()
-                          : ("DNF: " + cell.failure).c_str());
+        job.cell = EvaluateCell(config_, model_cache, at,
+                                *plan.benchmarks[job.index], *job.prototype,
+                                &job.cpu_seconds);
+        RecordOutcome(at.algorithm, at.dataset, job.cell.trained, &breaker);
+        // The journal is shared by all lanes; the lock keeps each flushed
+        // row whole so a reload never sees interleaved fragments.
+        std::lock_guard<std::mutex> lock(journal_mu_);
+        AppendCache(job.cell);
       }
       return Status::OK();
     });
@@ -669,80 +748,22 @@ Status Campaign::Run() {
   return Status::OK();
 }
 
-namespace {
-
-/// Replays `algorithm`'s journalled lane outcomes (dataset-major grid order)
-/// into `breaker`: quarantine rows are skips, not evidence. Because lane
-/// prerequisites serialise each algorithm's cells across workers, every
-/// worker replays the same prefix the single-process lane would have
-/// accumulated — quarantine decisions are therefore bit-identical.
-bool ReplayLaneIntoBreaker(const std::vector<fabric::GridCell>& grid,
-                           const std::vector<fabric::CellStatus>& statuses,
-                           const std::string& algorithm,
-                           CircuitBreaker* breaker) {
-  for (size_t i = 0; i < grid.size(); ++i) {
-    if (grid[i].algorithm != algorithm || !statuses[i].terminal) continue;
-    if (statuses[i].quarantined_row) continue;
-    if (statuses[i].trained) {
-      breaker->RecordSuccess(algorithm);
-    } else {
-      breaker->RecordFailure(algorithm, grid[i].dataset);
-    }
-  }
-  return breaker->IsQuarantined(algorithm);
-}
-
-}  // namespace
-
 Status Campaign::RunWorker(const std::string& owner,
                            const WorkerDrillHooks* drill) {
   trace::SetProcessLabel("etsc-worker:" + owner);
   TraceSpan run_span("campaign", "worker_run");
 
-  // Phase 1 (identical to Run): generate datasets, derive the header.
   std::vector<BenchmarkDataset> benchmarks;
   ETSC_RETURN_NOT_OK(GenerateDatasets(&benchmarks));
-
-  // The grid every worker must agree on: dataset-major with per-algorithm
-  // lane prerequisites. Unknown algorithms are excluded up-front (one
-  // warning), mirroring Run()'s skip — a cell that could never produce a
-  // terminal row would wedge the fabric's completion check forever.
-  std::vector<std::string> algorithms;
-  for (const auto& algorithm : config_.algorithms) {
-    auto probe =
-        MakePaperAlgorithm(algorithm, benchmarks.front().canonical_profile.name,
-                           benchmarks.front().data.MaxLength());
-    if (!probe.ok()) {
-      Logf(LogLevel::kWarn, "campaign", "%s",
-           probe.status().ToString().c_str());
-      continue;
-    }
-    algorithms.push_back(algorithm);
-  }
-  if (algorithms.empty()) {
+  // The grid every worker must agree on: Run's plan, claimed through the
+  // journal's leases instead of up-front lanes.
+  const GridPlan plan = PlanGrid(config_.algorithms, benchmarks);
+  if (plan.cells.empty()) {
     return Status::NotFound("worker: no known algorithm configured");
   }
-  std::vector<fabric::GridCell> grid;
-  std::map<std::string, const BenchmarkDataset*> benchmark_of;
-  {
-    std::map<std::string, size_t> last_in_lane;
-    for (const auto& benchmark : benchmarks) {
-      const std::string& dataset_name = benchmark.canonical_profile.name;
-      benchmark_of[dataset_name] = &benchmark;
-      for (const auto& algorithm : algorithms) {
-        fabric::GridCell cell;
-        cell.algorithm = algorithm;
-        cell.dataset = dataset_name;
-        const auto it = last_in_lane.find(algorithm);
-        if (it != last_in_lane.end()) cell.prerequisite = it->second;
-        last_in_lane[algorithm] = grid.size();
-        grid.push_back(std::move(cell));
-      }
-    }
-  }
-
-  fabric::WorkerJournal journal(config_.cache_path, journal_header_, grid,
-                                owner, fabric::LeaseOptions::FromEnv());
+  fabric::WorkerJournal journal(config_.cache_path, journal_header_,
+                                plan.cells, owner,
+                                fabric::LeaseOptions::FromEnv());
   ETSC_RETURN_NOT_OK(journal.EnsureHeader());
   const std::shared_ptr<const ModelCache> model_cache = ModelCache::FromEnv();
   size_t computed = 0;
@@ -758,122 +779,66 @@ Status Campaign::RunWorker(const std::string& owner,
           std::max(10.0, acquired.retry_after_ms)));
       continue;
     }
-    const fabric::GridCell& gcell = journal.grid()[acquired.index];
+    const fabric::GridCell& at = plan.cells[acquired.index];
     if (drill != nullptr && drill->on_cell &&
-        !drill->on_cell(gcell.algorithm, gcell.dataset)) {
+        !drill->on_cell(at.algorithm, at.dataset)) {
       // Crash drill: walk away holding the lease, like a SIGKILLed worker.
       Logf(LogLevel::kWarn, "campaign",
            "%s: drill hook abandoned the run holding the lease on %s/%s",
-           owner.c_str(), gcell.algorithm.c_str(), gcell.dataset.c_str());
+           owner.c_str(), at.algorithm.c_str(), at.dataset.c_str());
       return Status::OK();
     }
 
-    CampaignCell cell;
-    cell.algorithm = gcell.algorithm;
-    cell.dataset = gcell.dataset;
-
     // Quarantine decision: a broadcast row published by any worker, or the
-    // deterministic breaker replay over this lane's journalled outcomes.
+    // breaker replay over this lane's journalled outcomes.
     CircuitBreaker breaker(config_.supervisor.quarantine_after);
-    const bool replayed_quarantine = ReplayLaneIntoBreaker(
-        journal.grid(), acquired.statuses, gcell.algorithm, &breaker);
-    if (acquired.quarantined_algorithms.count(gcell.algorithm) > 0 ||
-        replayed_quarantine) {
-      cell.quarantined = true;
-      cell.failure = Status::SkippedQuarantine(
-                         gcell.algorithm +
-                         " quarantined after repeated failures; "
-                         "cell not attempted")
-                         .ToString();
-      ETSC_RETURN_NOT_OK(
-          journal.Complete(acquired.index, fabric::FormatCellRow(cell)));
-      if (MetricsEnabled()) JournalAppends().Add(1);
-      Logf(LogLevel::kWarn, "campaign", "  %s on %s: %s",
-           gcell.algorithm.c_str(), gcell.dataset.c_str(),
-           cell.failure.c_str());
-      continue;
-    }
-
-    const BenchmarkDataset& benchmark = *benchmark_of.at(gcell.dataset);
-    auto prototype = MakePaperAlgorithm(gcell.algorithm, gcell.dataset,
-                                        benchmark.data.MaxLength());
-    if (!prototype.ok()) {
-      // Probed fine above, so only exotic failures land here; a failed row
-      // still terminates the cell so the grid completes.
+    CampaignCell cell;
+    if (acquired.quarantined_algorithms.count(at.algorithm) > 0 ||
+        ReplayLane(plan.cells, acquired.statuses, at.algorithm, &breaker)) {
+      cell = QuarantinedCell(at);
+    } else if (auto prototype =
+                   CellPrototype(config_, at, *plan.benchmarks[acquired.index]);
+               !prototype.ok()) {
+      // The plan probed the name, so only exotic failures land here; a
+      // failed row still terminates the cell so the grid completes.
+      cell.algorithm = at.algorithm;
+      cell.dataset = at.dataset;
       cell.failure = prototype.status().ToString();
-      ETSC_RETURN_NOT_OK(
-          journal.Complete(acquired.index, fabric::FormatCellRow(cell)));
-      if (MetricsEnabled()) JournalAppends().Add(1);
-      continue;
-    }
-    auto classifier = ApplyFaultSpec(config_.fault_spec, gcell.algorithm,
-                                     std::move(*prototype));
-    TraceSpan cell_span("campaign", [&] {
-      return "cell:" + gcell.algorithm + "/" + gcell.dataset;
-    });
-    Logf(LogLevel::kInfo, "campaign", "%s: %s on %s (%zu instances)...",
-         owner.c_str(), gcell.algorithm.c_str(), gcell.dataset.c_str(),
-         benchmark.data.size());
-
-    EvaluationOptions options;
-    options.num_folds = config_.folds;
-    options.seed = config_.seed;
-    options.train_budget_seconds = config_.train_budget_seconds;
-    options.predict_budget_seconds = config_.predict_budget_seconds;
-    options.model_cache = model_cache;
-    options.retry = config_.supervisor.retry;
-    options.watchdog_grace = config_.supervisor.watchdog_grace;
-
-    bool lease_lost = false;
-    {
-      // Heartbeats renew the lease while the cell computes — a slow cell is
-      // not a dead worker. Scoped so the keeper is joined before Complete.
-      fabric::LeaseKeeper keeper(&journal, acquired.index);
-      const EvaluationResult result =
-          CrossValidate(benchmark.data, *classifier, options);
-      cell.trained = result.trained();
-      for (const auto& fold : result.folds) {
-        cell.retries += std::max(0, fold.fit_attempts - 1);
-        if (cell.failure.empty() && !fold.failure.empty()) {
-          cell.failure = fold.failure;
-        }
+    } else {
+      TraceSpan cell_span("campaign", [&] {
+        return "cell:" + at.algorithm + "/" + at.dataset;
+      });
+      bool lease_lost = false;
+      {
+        // Heartbeats renew the lease while the cell computes — a slow cell
+        // is not a dead worker. Scoped so the keeper is joined before
+        // Complete.
+        fabric::LeaseKeeper keeper(&journal, acquired.index);
+        double cpu_seconds = 0.0;
+        cell = EvaluateCell(config_, model_cache, at,
+                            *plan.benchmarks[acquired.index], **prototype,
+                            &cpu_seconds);
+        lease_lost = keeper.lease_lost();
       }
-      const EvalScores scores = result.MeanScores();
-      cell.accuracy = scores.accuracy;
-      cell.f1 = scores.f1;
-      cell.earliness = scores.earliness;
-      cell.harmonic_mean = scores.harmonic_mean;
-      cell.train_seconds = result.MeanTrainSeconds();
-      cell.test_seconds_per_instance = result.MeanTestSecondsPerInstance();
-      lease_lost = keeper.lease_lost();
-    }
-    if (lease_lost) {
-      // Stolen mid-compute (our heartbeats lapsed past the TTL): the thief's
-      // re-run is the row of record; journalling ours too would be a
-      // duplicate at best and a fork at worst.
-      Logf(LogLevel::kWarn, "campaign",
-           "%s: lease on %s/%s was stolen mid-compute; result discarded",
-           owner.c_str(), gcell.algorithm.c_str(), gcell.dataset.c_str());
-      continue;
-    }
-    if (!cell.trained) {
-      // Feed the fresh failure into the replayed streak; the worker that
-      // trips the breaker broadcasts the quarantine so the others stop
-      // without waiting to re-derive it from rows.
-      if (breaker.RecordFailure(gcell.algorithm, gcell.dataset)) {
-        ETSC_RETURN_NOT_OK(journal.PublishQuarantine(gcell.algorithm));
+      if (lease_lost) {
+        // Stolen mid-compute (our heartbeats lapsed past the TTL): the
+        // thief's re-run is the row of record; journalling ours too would be
+        // a duplicate at best and a fork at worst.
+        Logf(LogLevel::kWarn, "campaign",
+             "%s: lease on %s/%s was stolen mid-compute; result discarded",
+             owner.c_str(), at.algorithm.c_str(), at.dataset.c_str());
+        continue;
       }
+      // The worker whose fresh failure trips the breaker broadcasts the
+      // quarantine so the others stop without re-deriving it from rows.
+      if (RecordOutcome(at.algorithm, at.dataset, cell.trained, &breaker)) {
+        ETSC_RETURN_NOT_OK(journal.PublishQuarantine(at.algorithm));
+      }
+      ++computed;
     }
-    if (MetricsEnabled()) {
-      CellsComputed().Add(1);
-      JournalAppends().Add(1);
-    }
-    ++computed;
+    if (MetricsEnabled()) JournalAppends().Add(1);
     ETSC_RETURN_NOT_OK(
         journal.Complete(acquired.index, fabric::FormatCellRow(cell)));
-    Logf(LogLevel::kInfo, "campaign", "  %s on %s: %s",
-         gcell.algorithm.c_str(), gcell.dataset.c_str(),
-         cell.trained ? "ok" : ("DNF: " + cell.failure).c_str());
   }
   Logf(LogLevel::kInfo, "campaign",
        "%s: campaign complete — every cell terminal (%zu computed here)",

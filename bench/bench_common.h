@@ -14,7 +14,6 @@
 #include "core/classifier.h"
 #include "core/dataset.h"
 #include "core/fabric.h"
-#include "core/rowlog.h"
 #include "core/supervisor.h"
 #include "data/repository.h"
 
@@ -24,7 +23,8 @@ namespace etsc::bench {
 /// Environment overrides:
 ///   ETSC_BENCH_SCALE     height scale for datasets above 1000 instances
 ///                        (default 0.05; 1.0 = paper-sized)
-///   ETSC_BENCH_FOLDS     stratified CV folds (default 2; paper: 5)
+///   ETSC_BENCH_FOLDS     stratified CV folds, at least 2 (default 2;
+///                        paper: 5)
 ///   ETSC_BENCH_BUDGET    per-fold training budget in seconds (default 30;
 ///                        stands in for the paper's 48-hour cut-off)
 ///   ETSC_BENCH_PREDICT_BUDGET  per-instance prediction budget in seconds
@@ -73,7 +73,8 @@ namespace etsc::bench {
 ///                        campaigns against clean ones only on unaffected
 ///                        algorithms. The "die-at:<k>" kind (abrupt process
 ///                        exit mid-cell, core/fault.h) makes crash drills
-///                        scriptable.
+///                        scriptable. An unknown kind, or a :k that is not
+///                        a count in [1, 1000000], warns and injects nothing.
 ///   ETSC_LEASE_TTL_MS / ETSC_HEARTBEAT_MS  worker-fabric lease knobs
 ///                        (core/fabric.h): how long an unrenewed lease
 ///                        survives and how often RunWorker renews it.
@@ -142,18 +143,6 @@ inline constexpr int kJournalFormatVersion = 4;
 /// pass; shards and the merge step use it to prove they describe the same
 /// inputs. Fails when no configured dataset can be generated.
 Result<std::string> JournalHeaderForConfig(const CampaignConfig& config);
-
-/// Journal field escaping, rowlog::EscapeField: with every comma escaped, an
-/// arbitrary failure message can neither tear a row across lines nor forge
-/// the end-of-row sentinel.
-inline std::string EscapeJournalField(const std::string& raw) {
-  return rowlog::EscapeField(raw);
-}
-
-/// Inverse of EscapeJournalField (rowlog::UnescapeField).
-inline std::string UnescapeJournalField(const std::string& escaped) {
-  return rowlog::UnescapeField(escaped);
-}
 
 /// What MergeShardJournals found and wrote.
 struct MergeSummary {
@@ -242,9 +231,11 @@ class Campaign {
   /// by a newer build); cell failures are first-class rows, not errors.
   Status Run();
 
-  /// Runs this campaign as one worker of a multi-process fabric: cells are
-  /// leased through the shared journal (core/fabric.h) instead of planned
-  /// up-front, heartbeats are renewed by a background LeaseKeeper while each
+  /// Runs this campaign as one worker of a multi-process fabric. It shares
+  /// Run()'s grid plan, breaker replay and cell evaluation and differs only
+  /// in how a cell is claimed and recorded: cells are leased through the
+  /// shared journal (core/fabric.h) instead of claimed as up-front lanes,
+  /// and each row is completed under the journal lock. Heartbeats are renewed by a background LeaseKeeper while each
   /// cell computes, expired leases of dead workers are stolen (lowest cell
   /// index first), and quarantine decisions replayed from journalled rows —
   /// plus `@quarantine` broadcasts — match the single-process run bit for
@@ -297,16 +288,16 @@ class Campaign {
   /// rejects journals claiming a format version newer than
   /// kJournalFormatVersion (actionable error instead of misparsed rows).
   Status LoadCache(const std::string& expected_header);
-  /// Generates the configured datasets (profiles_, journal_header_) —
-  /// phase 1 of Run() and RunWorker(). Appends the generated benchmarks to
-  /// `benchmarks`; fails when not a single dataset could be generated.
+  /// Generates the configured datasets (profiles_, journal_header_, the
+  /// same derivation as JournalHeaderForConfig) — phase 1 of Run() and
+  /// RunWorker(). Appends the generated benchmarks to `benchmarks`; fails
+  /// when not a single dataset could be generated.
   Status GenerateDatasets(std::vector<BenchmarkDataset>* benchmarks);
   /// Requires journal_mu_ when cells complete concurrently: a row must hit
   /// the file whole (rotation, header, fresh-line check, write, flush). A
   /// row the journal refuses is logged and recomputed by the next run.
   void AppendCache(const CampaignCell& cell);
   void WriteReport(const RunStats& stats) const;
-  RepositoryOptions RepoOptions() const;
 
   CampaignConfig config_;
   std::vector<CampaignCell> cells_;

@@ -36,7 +36,8 @@
 //                                              verify decisions bit-identical
 //                                              to the uncrashed reference)
 //
-// Exit code 0 on success, 1 on usage/setup errors, 2 when the algorithm could
+// Exit code 0 on success, 1 on usage/setup errors (a malformed or out-of-range
+// flag value included, before any dataset is built), 2 when the algorithm could
 // not train within the budget, 3 when --report-diff finds a difference, 4 when
 // --serve finds a batched/sequential divergence. ETSC_SERVE_FAULT
 // ("die-at-ingest:K" / "die-at-dispatch:K") arms a scripted crash that exits
@@ -51,6 +52,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -70,6 +73,7 @@
 #include "core/json.h"
 #include "core/model_cache.h"
 #include "core/registry.h"
+#include "core/rowlog.h"
 #include "core/serving.h"
 #include "data/repository.h"
 
@@ -138,71 +142,146 @@ void PrintUsage() {
       "                (ETSC_SERVE_MAX_SESSIONS / _BUDGET_MS / _IDLE_MS /\n"
       "                 _SOFT_WATERMARK / _SHED_IDLE_MS / _RETRY_MS /\n"
       "                 _WATCHDOG_GRACE / _WAL env; ETSC_SERVE_FAULT arms the\n"
-      "                 crash drill)\n");
+      "                 crash drill)\n"
+      "numbers are checked whole against their range (e.g. --folds 2..1e9,\n"
+      "--workers 1..1024, --cost-alpha 0..1); a bad value exits 1\n");
+}
+
+/// One command-line flag: `set` stores its value (ignored by a switch) into
+/// the CliArgs field it names and returns false when the value is malformed
+/// or outside `want`, the accepted range the error message quotes.
+struct Flag {
+  const char* name;
+  std::function<bool(const char* value)> set;
+  bool takes_value = true;
+  std::string want;
+};
+
+Flag Switch(const char* name, bool* field) {
+  return {name, [field](const char*) { return *field = true; }, false, ""};
+}
+
+Flag Text(const char* name, std::string* field) {
+  return {name,
+          [field](const char* v) {
+            *field = v;
+            return true;
+          },
+          true, ""};
+}
+
+/// A comma list; empty entries are dropped.
+Flag List(const char* name, std::vector<std::string>* field) {
+  return {name,
+          [field](const char* v) {
+            std::stringstream ss(v);
+            std::string item;
+            while (std::getline(ss, item, ',')) {
+              if (!item.empty()) field->push_back(item);
+            }
+            return true;
+          },
+          true, ""};
+}
+
+/// A whole decimal count in [lo, hi], parsed strictly (rowlog::ParseInt: no
+/// sign, no fraction, no trailing junk).
+template <typename T>
+Flag Count(const char* name, T* field, uint64_t lo, uint64_t hi) {
+  return {name,
+          [=](const char* v) {
+            uint64_t n = 0;
+            if (!etsc::rowlog::ParseInt(v, &n) || n < lo || n > hi) {
+              return false;
+            }
+            *field = static_cast<T>(n);
+            return true;
+          },
+          true,
+          "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) +
+              "]"};
+}
+
+/// A number in [lo, hi], parsed strictly (rowlog::ParseReal; nan and inf
+/// fall outside every range).
+Flag Real(const char* name, double* field, double lo, double hi) {
+  char want[64];
+  std::snprintf(want, sizeof(want), "a number in [%g, %g]", lo, hi);
+  return {name,
+          [=](const char* v) {
+            double x = 0.0;
+            if (!etsc::rowlog::ParseReal(v, &x) || !(x >= lo && x <= hi)) {
+              return false;
+            }
+            *field = x;
+            return true;
+          },
+          true, want};
 }
 
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
+  // Ranges follow the matching environment knobs: ETSC_BENCH_SERVING_SESSIONS,
+  // ETSC_THREADS, ETSC_BENCH_ALPHA, ETSC_RETRY_MAX, ETSC_QUARANTINE_AFTER,
+  // ETSC_BENCH_FOLDS, ETSC_BENCH_BUDGET and ETSC_BENCH_SCALE.
+  const Flag flags[] = {
+      Switch("--list", &args->list),
+      Switch("--serve", &args->serve),
+      Count("--sessions", &args->sessions, 1, 1000000000),
+      Count("--dispatch-every", &args->dispatch_every, 0, 1000000000),
+      Text("--serve-report", &args->serve_report),
+      Text("--wal", &args->wal),
+      Switch("--recover", &args->recover),
+      Switch("--campaign", &args->campaign),
+      Switch("--worker", &args->worker),
+      Count("--workers", &args->workers, 1, 1024),
+      Text("--cache", &args->cache),
+      Switch("--follow", &args->follow),
+      Text("--shard", &args->shard),
+      List("--ignore-algos", &args->ignore_algos),
+      {"--map-algo",
+       [args](const char* v) {
+         const std::string mapping = v;
+         const size_t eq = mapping.find('=');
+         if (eq == std::string::npos || eq == 0 || eq + 1 == mapping.size()) {
+           return false;
+         }
+         args->map_algos.emplace_back(mapping.substr(0, eq),
+                                      mapping.substr(eq + 1));
+         return true;
+       },
+       true, "OLD=NEW"},
+      List("--classifiers", &args->classifiers),
+      List("--triggers", &args->triggers),
+      Real("--cost-alpha", &args->cost_alpha, 0.0, 1.0),
+      Count("--max-retries", &args->max_retries, 0, 1000000),
+      Count("--quarantine-after", &args->quarantine_after, 0, 1000000),
+      Text("--algo", &args->algo),
+      Text("--dataset", &args->dataset),
+      Text("--csv", &args->csv_path),
+      Text("--arff", &args->arff_path),
+      Count("--variables", &args->variables, 1, 1000000),
+      Count("--folds", &args->folds, 2, 1000000000),
+      Real("--budget", &args->budget, 0.0, 1e12),
+      Count("--seed", &args->seed, 0, std::numeric_limits<uint64_t>::max()),
+      Real("--scale", &args->scale, 0.0, 1e6),
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    auto next = [&](const char* what) -> const char* {
+    auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
+        std::fprintf(stderr, "missing value for %s\n", flag.c_str());
         return nullptr;
       }
       return argv[++i];
     };
-    if (flag == "--list") {
-      args->list = true;
-    } else if (flag == "--serve") {
-      args->serve = true;
-    } else if (flag == "--sessions") {
-      const char* v = next("--sessions");
-      if (v == nullptr) return false;
-      args->sessions = std::strtoul(v, nullptr, 10);
-      if (args->sessions == 0) {
-        std::fprintf(stderr, "--sessions needs a positive count\n");
-        return false;
-      }
-    } else if (flag == "--dispatch-every") {
-      const char* v = next("--dispatch-every");
-      if (v == nullptr) return false;
-      args->dispatch_every = std::strtoul(v, nullptr, 10);
-    } else if (flag == "--serve-report") {
-      const char* v = next("--serve-report");
-      if (v == nullptr) return false;
-      args->serve_report = v;
-    } else if (flag == "--wal") {
-      const char* v = next("--wal");
-      if (v == nullptr) return false;
-      args->wal = v;
-    } else if (flag == "--recover") {
-      args->recover = true;
-    } else if (flag == "--campaign") {
-      args->campaign = true;
-    } else if (flag == "--worker") {
-      args->worker = true;
-    } else if (flag == "--workers") {
-      const char* v = next("--workers");
-      if (v == nullptr) return false;
-      args->workers = std::strtoul(v, nullptr, 10);
-      if (args->workers == 0) {
-        std::fprintf(stderr, "--workers needs a positive count\n");
-        return false;
-      }
-    } else if (flag == "--cache") {
-      const char* v = next("--cache");
-      if (v == nullptr) return false;
-      args->cache = v;
-    } else if (flag == "--follow") {
-      args->follow = true;
-    } else if (flag == "--shard") {
-      const char* v = next("--shard");
-      if (v == nullptr) return false;
-      args->shard = v;
-    } else if (flag == "--merge-shards") {
-      const char* v = next("--merge-shards");
-      if (v == nullptr) return false;
-      args->merge_out = v;
+    if (flag == "--help" || flag == "-h") {
+      PrintUsage();
+      std::exit(0);
+    }
+    if (flag == "--merge-shards") {
+      const char* out = next();
+      if (out == nullptr) return false;
+      args->merge_out = out;
       while (i + 1 < argc && argv[i + 1][0] != '-') {
         args->merge_inputs.push_back(argv[++i]);
       }
@@ -210,104 +289,29 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
         std::fprintf(stderr, "--merge-shards needs input journals\n");
         return false;
       }
-    } else if (flag == "--report-diff") {
+      continue;
+    }
+    if (flag == "--report-diff") {
       for (int k = 0; k < 2; ++k) {
-        const char* v = next("--report-diff");
-        if (v == nullptr) return false;
-        args->diff_reports.push_back(v);
+        const char* report = next();
+        if (report == nullptr) return false;
+        args->diff_reports.push_back(report);
       }
-    } else if (flag == "--ignore-algos") {
-      const char* v = next("--ignore-algos");
-      if (v == nullptr) return false;
-      std::stringstream ss(v);
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        if (!item.empty()) args->ignore_algos.push_back(item);
-      }
-    } else if (flag == "--map-algo") {
-      const char* v = next("--map-algo");
-      if (v == nullptr) return false;
-      const std::string mapping = v;
-      const size_t eq = mapping.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == mapping.size()) {
-        std::fprintf(stderr, "--map-algo needs OLD=NEW\n");
-        return false;
-      }
-      args->map_algos.emplace_back(mapping.substr(0, eq),
-                                   mapping.substr(eq + 1));
-    } else if (flag == "--classifiers") {
-      const char* v = next("--classifiers");
-      if (v == nullptr) return false;
-      std::stringstream ss(v);
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        if (!item.empty()) args->classifiers.push_back(item);
-      }
-    } else if (flag == "--triggers") {
-      const char* v = next("--triggers");
-      if (v == nullptr) return false;
-      std::stringstream ss(v);
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        if (!item.empty()) args->triggers.push_back(item);
-      }
-    } else if (flag == "--cost-alpha") {
-      const char* v = next("--cost-alpha");
-      if (v == nullptr) return false;
-      args->cost_alpha = std::strtod(v, nullptr);
-      if (args->cost_alpha < 0.0 || args->cost_alpha > 1.0) {
-        std::fprintf(stderr, "--cost-alpha needs a ratio in [0, 1]\n");
-        return false;
-      }
-    } else if (flag == "--max-retries") {
-      const char* v = next("--max-retries");
-      if (v == nullptr) return false;
-      args->max_retries = std::atoi(v);
-    } else if (flag == "--quarantine-after") {
-      const char* v = next("--quarantine-after");
-      if (v == nullptr) return false;
-      args->quarantine_after = std::atoi(v);
-    } else if (flag == "--algo") {
-      const char* v = next("--algo");
-      if (v == nullptr) return false;
-      args->algo = v;
-    } else if (flag == "--dataset") {
-      const char* v = next("--dataset");
-      if (v == nullptr) return false;
-      args->dataset = v;
-    } else if (flag == "--csv") {
-      const char* v = next("--csv");
-      if (v == nullptr) return false;
-      args->csv_path = v;
-    } else if (flag == "--arff") {
-      const char* v = next("--arff");
-      if (v == nullptr) return false;
-      args->arff_path = v;
-    } else if (flag == "--variables") {
-      const char* v = next("--variables");
-      if (v == nullptr) return false;
-      args->variables = std::strtoul(v, nullptr, 10);
-    } else if (flag == "--folds") {
-      const char* v = next("--folds");
-      if (v == nullptr) return false;
-      args->folds = std::strtoul(v, nullptr, 10);
-    } else if (flag == "--budget") {
-      const char* v = next("--budget");
-      if (v == nullptr) return false;
-      args->budget = std::strtod(v, nullptr);
-    } else if (flag == "--seed") {
-      const char* v = next("--seed");
-      if (v == nullptr) return false;
-      args->seed = std::strtoull(v, nullptr, 10);
-    } else if (flag == "--scale") {
-      const char* v = next("--scale");
-      if (v == nullptr) return false;
-      args->scale = std::strtod(v, nullptr);
-    } else if (flag == "--help" || flag == "-h") {
-      PrintUsage();
-      std::exit(0);
-    } else {
+      continue;
+    }
+    const Flag* spec = nullptr;
+    for (const Flag& candidate : flags) {
+      if (flag == candidate.name) spec = &candidate;
+    }
+    if (spec == nullptr) {
       std::fprintf(stderr, "unknown flag '%s'\n", flag.c_str());
+      return false;
+    }
+    const char* value = spec->takes_value ? next() : "";
+    if (value == nullptr) return false;
+    if (!spec->set(value)) {
+      std::fprintf(stderr, "bad value '%s' for %s (want %s)\n", value,
+                   spec->name, spec->want.c_str());
       return false;
     }
   }
@@ -349,21 +353,29 @@ int ApplyCompositionFlags(const CliArgs& args) {
   return 0;
 }
 
-int RunCampaign(const CliArgs& args) {
+/// The configuration every campaign mode starts from: the ETSC_BENCH_* and
+/// supervisor environment, with --max-retries, --quarantine-after and
+/// --cache on top (flags beat the environment).
+etsc::bench::CampaignConfig CampaignConfigFromArgs(const CliArgs& args) {
   auto config = etsc::bench::CampaignConfig::FromEnv();
+  if (args.max_retries >= 0) {
+    config.supervisor.retry.max_retries = args.max_retries;
+  }
+  if (args.quarantine_after >= 0) {
+    config.supervisor.quarantine_after = args.quarantine_after;
+  }
+  if (!args.cache.empty()) config.cache_path = args.cache;
+  return config;
+}
+
+int RunCampaign(const CliArgs& args) {
+  auto config = CampaignConfigFromArgs(args);
   if (!args.shard.empty() &&
       !etsc::bench::ParseShard(args.shard, &config.shard_index,
                                &config.shard_count)) {
     std::fprintf(stderr, "bad --shard spec '%s' (want I/N with 0 <= I < N)\n",
                  args.shard.c_str());
     return 1;
-  }
-  // Flags beat the ETSC_RETRY_*/ETSC_QUARANTINE_AFTER environment.
-  if (args.max_retries >= 0) {
-    config.supervisor.retry.max_retries = args.max_retries;
-  }
-  if (args.quarantine_after >= 0) {
-    config.supervisor.quarantine_after = args.quarantine_after;
   }
   etsc::bench::Campaign campaign(std::move(config));
   const etsc::Status status = campaign.Run();
@@ -380,23 +392,11 @@ int RunCampaign(const CliArgs& args) {
 int WriteMergedReport(etsc::bench::CampaignConfig config,
                       const std::string& journal_path);
 
-void ApplySupervisorFlags(const CliArgs& args,
-                          etsc::bench::CampaignConfig* config) {
-  if (args.max_retries >= 0) {
-    config->supervisor.retry.max_retries = args.max_retries;
-  }
-  if (args.quarantine_after >= 0) {
-    config->supervisor.quarantine_after = args.quarantine_after;
-  }
-}
-
 /// One fabric worker: leases cells from the shared journal until every cell
 /// is terminal (or the lease loop hits a setup error). Workers never write
 /// the report — that is the coordinator's (or --merge-shards') job.
 int RunWorkerProcess(const CliArgs& args) {
-  auto config = etsc::bench::CampaignConfig::FromEnv();
-  ApplySupervisorFlags(args, &config);
-  if (!args.cache.empty()) config.cache_path = args.cache;
+  auto config = CampaignConfigFromArgs(args);
   const char* worker_id = std::getenv("ETSC_WORKER_ID");
   const std::string owner = (worker_id != nullptr && *worker_id != '\0')
                                 ? std::string(worker_id)
@@ -442,8 +442,7 @@ pid_t SpawnWorker(const std::string& exe, const std::string& cache,
 /// before the grid completes, the fleet is respawned up to
 /// ETSC_WORKER_RESTARTS times (default 3, campaign.worker_restarts counts).
 int RunCoordinator(const CliArgs& args, const char* argv0) {
-  auto config = etsc::bench::CampaignConfig::FromEnv();
-  ApplySupervisorFlags(args, &config);
+  auto config = CampaignConfigFromArgs(args);
   // Children re-read the environment, so flag overrides must be exported or
   // the workers would derive a different journal fingerprint.
   if (args.max_retries >= 0) {
@@ -454,7 +453,6 @@ int RunCoordinator(const CliArgs& args, const char* argv0) {
     ::setenv("ETSC_QUARANTINE_AFTER",
              std::to_string(config.supervisor.quarantine_after).c_str(), 1);
   }
-  if (!args.cache.empty()) config.cache_path = args.cache;
   const std::string cache = config.cache_path;
   const std::string merged = cache + ".merged.csv";
   const auto header = etsc::bench::JournalHeaderForConfig(config);
@@ -582,13 +580,15 @@ int WriteMergedReport(etsc::bench::CampaignConfig config,
 /// Combines shard (or fabric) journals written under one campaign config into
 /// a single canonical journal at `out_path`, then writes the merged report.
 /// Every input is validated against the fingerprint this process derives from
-/// ETSC_BENCH_* + the generated data, so journals from a different config or
+/// the campaign config (ETSC_BENCH_* plus the supervisor flags the shards ran
+/// with) + the generated data, so journals from a different config or
 /// different data are refused with a diagnostic naming both fingerprints.
-/// With `follow`, keeps re-merging until every grid cell has a terminal row
+/// With --follow, keeps re-merging until every grid cell has a terminal row
 /// (a live view over journals that crashed workers are still filling in).
-int MergeShards(const std::string& out_path,
-                const std::vector<std::string>& inputs, bool follow) {
-  auto config = etsc::bench::CampaignConfig::FromEnv();
+int MergeShards(const CliArgs& args) {
+  const std::string& out_path = args.merge_out;
+  const std::vector<std::string>& inputs = args.merge_inputs;
+  auto config = CampaignConfigFromArgs(args);
   const auto header = etsc::bench::JournalHeaderForConfig(config);
   if (!header.ok()) {
     std::fprintf(stderr, "%s\n", header.status().ToString().c_str());
@@ -601,7 +601,7 @@ int MergeShards(const std::string& out_path,
       std::fprintf(stderr, "%s\n", merged.status().ToString().c_str());
       return 1;
     }
-    if (!follow || merged->complete) {
+    if (!args.follow || merged->complete) {
       std::printf(
           "merged %zu row(s) from %zu journal(s) into %s (%zu/%zu grid "
           "cell(s) terminal%s)\n",
@@ -1106,7 +1106,7 @@ int main(int argc, char** argv) {
                       args.ignore_algos, args.map_algos);
   }
   if (!args.merge_out.empty()) {
-    return MergeShards(args.merge_out, args.merge_inputs, args.follow);
+    return MergeShards(args);
   }
   if (args.serve) {
     return RunServe(args);

@@ -28,6 +28,39 @@ cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
+# Flag rejection: a malformed or out-of-range etsc_cli flag must exit 1 and
+# name the flag before any dataset is built or any worker is forked (no
+# "dataset" line, nothing journalled), and ETSC_BENCH_FOLDS=1 must warn and
+# keep the default rather than abort in StratifiedKFold.
+FLAG_DIR="$(mktemp -d)"
+trap 'rm -rf "$FLAG_DIR"' EXIT
+(
+  export ETSC_LOG=warn ETSC_BENCH_ALGOS=ECTS ETSC_BENCH_DATASETS=DodgerLoopGame \
+         ETSC_BENCH_CACHE="$FLAG_DIR/journal/j.csv"
+  mkdir "$FLAG_DIR/journal"
+  for bad in "--serve --algo ects --dataset DodgerLoopGame --sessions 3x" \
+             "--algo ects --dataset DodgerLoopGame --folds abc" \
+             "--algo ects --dataset DodgerLoopGame --folds 1" \
+             "--campaign --max-retries banana" \
+             "--campaign --cost-alpha 2" \
+             "--campaign --workers 0"; do
+    read -r -a argv <<< "$bad"
+    set +e
+    ./build/examples/etsc_cli "${argv[@]}" > "$FLAG_DIR/out" 2> "$FLAG_DIR/err"
+    rc=$?
+    set -e
+    test "$rc" -eq 1
+    grep -qF -- "bad value '${argv[-1]}' for ${argv[-2]}" "$FLAG_DIR/err"
+    test "$(grep -c '^dataset' "$FLAG_DIR/out")" = 0
+    test -z "$(ls -A "$FLAG_DIR/journal")"
+  done
+  ETSC_BENCH_FOLDS=1 ./build/examples/etsc_cli --campaign 2> "$FLAG_DIR/err"
+  grep -q "ignoring invalid ETSC_BENCH_FOLDS='1'" "$FLAG_DIR/err"
+)
+rm -rf "$FLAG_DIR"
+trap - EXIT
+echo "check.sh: malformed flags rejected before any work; ETSC_BENCH_FOLDS=1 falls back"
+
 # Shard-merge smoke test: a tiny 2-shard campaign, merged, must produce a
 # report identical (modulo timings) to the same campaign run in one process.
 SHARD_DIR="$(mktemp -d)"

@@ -16,6 +16,7 @@
 #include "bench/bench_common.h"
 #include "core/counters.h"
 #include "core/dataset.h"
+#include "core/evaluation.h"
 #include "core/fault.h"
 
 namespace etsc {
@@ -441,6 +442,108 @@ TEST(FabricCampaign, AKilledWorkersLeaseIsStolenAndTheMergeMatchesSerial) {
   // Zero lost cells, and every surviving row identical to the serial run.
   EXPECT_EQ(RowsModuloTimings(merged_path),
             RowsModuloTimings(serial_config.cache_path));
+}
+
+TEST(FabricCampaign, RunAndRunWorkerMatchAnIndependentReference) {
+  ScopedEnv no_model_cache("ETSC_MODEL_CACHE", nullptr);
+  auto config = FabricConfig("fabric_reference_run.csv");
+  config.algorithms = {"ECTS", "NO-SUCH-ALGO", "EDSC"};
+  config.datasets = {"DodgerLoopGame", "DodgerLoopWeekend", "PowerCons"};
+  config.fault_spec = "EDSC:crash";
+  config.supervisor.quarantine_after = 2;
+
+  // The reference: CrossValidate called directly with the campaign's
+  // options, a circuit breaker fed in dataset order, no campaign code. The
+  // unknown name contributes no cells at all.
+  RepositoryOptions repo;
+  repo.seed = config.seed;
+  repo.height_scale = config.height_scale;
+  repo.maritime_windows = config.maritime_windows;
+  EvaluationOptions options;
+  options.num_folds = config.folds;
+  options.seed = config.seed;
+  options.train_budget_seconds = config.train_budget_seconds;
+  options.predict_budget_seconds = config.predict_budget_seconds;
+  options.retry = config.supervisor.retry;
+  options.watchdog_grace = config.supervisor.watchdog_grace;
+  CircuitBreaker breaker(config.supervisor.quarantine_after);
+  const std::string reference_path = TestPath("fabric_reference_rows.csv");
+  size_t quarantined = 0;
+  {
+    std::ofstream out(reference_path, std::ios::trunc);
+    out << "# reference\n";
+    for (const std::string& dataset : config.datasets) {
+      auto benchmark = MakeBenchmarkDataset(dataset, repo);
+      ASSERT_TRUE(benchmark.ok()) << benchmark.status().ToString();
+      for (const std::string algorithm : {"ECTS", "EDSC"}) {
+        fabric::CellRow cell;
+        cell.algorithm = algorithm;
+        cell.dataset = dataset;
+        if (breaker.IsQuarantined(algorithm)) {
+          ++quarantined;
+          cell.quarantined = true;
+          cell.failure = Status::SkippedQuarantine(
+                             algorithm +
+                             " quarantined after repeated failures; cell not "
+                             "attempted")
+                             .ToString();
+          out << fabric::FormatCellRow(cell) << "\n";
+          continue;
+        }
+        auto made = bench::MakePaperAlgorithm(algorithm, dataset,
+                                              benchmark->data.MaxLength());
+        ASSERT_TRUE(made.ok()) << made.status().ToString();
+        std::unique_ptr<EarlyClassifier> classifier = std::move(*made);
+        if (algorithm == "EDSC") {
+          FaultOptions crash;
+          crash.fit_failure_rate = 1.0;
+          classifier =
+              std::make_unique<FaultyClassifier>(std::move(classifier), crash);
+        }
+        const EvaluationResult result =
+            CrossValidate(benchmark->data, *classifier, options);
+        cell.trained = result.trained();
+        for (const auto& fold : result.folds) {
+          cell.retries += std::max(0, fold.fit_attempts - 1);
+          if (cell.failure.empty()) cell.failure = fold.failure;
+        }
+        const EvalScores scores = result.MeanScores();
+        cell.accuracy = scores.accuracy;
+        cell.f1 = scores.f1;
+        cell.earliness = scores.earliness;
+        cell.harmonic_mean = scores.harmonic_mean;
+        if (cell.trained) {
+          breaker.RecordSuccess(algorithm);
+        } else {
+          breaker.RecordFailure(algorithm, dataset);
+        }
+        out << fabric::FormatCellRow(cell) << "\n";
+      }
+    }
+  }
+  // Two failed datasets trip the breaker; the third EDSC cell is skipped.
+  ASSERT_EQ(quarantined, 1u);
+  const std::vector<std::string> expected = RowsModuloTimings(reference_path);
+  ASSERT_EQ(expected.size(), 6u);
+
+  bench::Campaign serial(config);
+  ASSERT_TRUE(serial.Run().ok());
+  EXPECT_EQ(RowsModuloTimings(config.cache_path), expected);
+
+  auto worker_config = config;
+  worker_config.cache_path = TestPath("fabric_reference_worker.csv");
+  bench::Campaign worker(worker_config);
+  const Status status = worker.RunWorker("w1");
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(RowsModuloTimings(worker_config.cache_path), expected);
+  // The worker that tripped the breaker broadcast the quarantine.
+  std::ifstream in(worker_config.cache_path);
+  std::string line;
+  bool broadcast = false;
+  while (std::getline(in, line)) {
+    broadcast |= line.rfind("@quarantine,EDSC,", 0) == 0;
+  }
+  EXPECT_TRUE(broadcast);
 }
 
 TEST(FabricCampaign, MergeRefusesJournalsFromAnotherCampaignIdentity) {

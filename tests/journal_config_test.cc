@@ -12,6 +12,7 @@
 
 #include "core/json.h"
 #include "core/parallel.h"
+#include "core/rowlog.h"
 
 namespace etsc {
 namespace {
@@ -63,7 +64,7 @@ std::string Row(const std::string& algorithm, const std::string& dataset,
                 double accuracy, const std::string& failure) {
   std::ostringstream ss;
   ss << algorithm << ',' << dataset << ",1," << accuracy
-     << ",0.5,0.25,0.5,1,0.001,0,0," << bench::EscapeJournalField(failure)
+     << ",0.5,0.25,0.5,1,0.001,0,0," << rowlog::EscapeField(failure)
      << ",#end";
   return ss.str();
 }
@@ -84,25 +85,25 @@ void WriteJournal(const bench::CampaignConfig& config,
 
 TEST(JournalEscape, RoundTripsEveryReservedCharacter) {
   const std::string nasty = "a,b\nnext\rline\\tail,#end\\n";
-  const std::string escaped = bench::EscapeJournalField(nasty);
+  const std::string escaped = rowlog::EscapeField(nasty);
   // A single line without separators: safe to embed as one CSV field.
   EXPECT_EQ(escaped.find('\n'), std::string::npos);
   EXPECT_EQ(escaped.find('\r'), std::string::npos);
   EXPECT_EQ(escaped.find(','), std::string::npos);
-  EXPECT_EQ(bench::UnescapeJournalField(escaped), nasty);
+  EXPECT_EQ(rowlog::UnescapeField(escaped), nasty);
 }
 
 TEST(JournalEscape, SentinelCannotBeForged) {
   // The end-of-row sentinel starts with a comma; with every comma escaped, no
   // failure message can terminate a row early.
-  const std::string escaped = bench::EscapeJournalField(",#end");
+  const std::string escaped = rowlog::EscapeField(",#end");
   EXPECT_EQ(escaped.find(','), std::string::npos);
-  EXPECT_EQ(bench::UnescapeJournalField(escaped), ",#end");
+  EXPECT_EQ(rowlog::UnescapeField(escaped), ",#end");
 }
 
 TEST(JournalEscape, UnknownEscapesPassThroughVerbatim) {
-  EXPECT_EQ(bench::UnescapeJournalField("a\\qb"), "a\\qb");
-  EXPECT_EQ(bench::UnescapeJournalField("trailing\\"), "trailing\\");
+  EXPECT_EQ(rowlog::UnescapeField("a\\qb"), "a\\qb");
+  EXPECT_EQ(rowlog::UnescapeField("trailing\\"), "trailing\\");
 }
 
 // ---------------------------------------------------------------------------
@@ -267,17 +268,22 @@ TEST(CampaignShard, ShardsPartitionTheGridAndMatchTheUnshardedRun) {
 // ---------------------------------------------------------------------------
 
 TEST(CampaignEnv, GarbageNumericOverridesFallBackToDefaults) {
-  ScopedEnv folds("ETSC_BENCH_FOLDS", "five");
-  ScopedEnv scale("ETSC_BENCH_SCALE", "");
-  ScopedEnv budget("ETSC_BENCH_BUDGET", "30x");
-  ScopedEnv maritime("ETSC_BENCH_MARITIME", "-100");
-  const bench::CampaignConfig defaults;
-  const bench::CampaignConfig config = bench::CampaignConfig::FromEnv();
-  // Bare strtod would have silently produced 0 for each of these.
-  EXPECT_EQ(config.folds, defaults.folds);
-  EXPECT_DOUBLE_EQ(config.height_scale, defaults.height_scale);
-  EXPECT_DOUBLE_EQ(config.train_budget_seconds, defaults.train_budget_seconds);
-  EXPECT_EQ(config.maritime_windows, defaults.maritime_windows);
+  // "1" parses but is no stratified CV: one fold would abort in
+  // StratifiedKFold.
+  for (const char* bad_folds : {"five", "1"}) {
+    ScopedEnv folds("ETSC_BENCH_FOLDS", bad_folds);
+    ScopedEnv scale("ETSC_BENCH_SCALE", "");
+    ScopedEnv budget("ETSC_BENCH_BUDGET", "30x");
+    ScopedEnv maritime("ETSC_BENCH_MARITIME", "-100");
+    const bench::CampaignConfig defaults;
+    const bench::CampaignConfig config = bench::CampaignConfig::FromEnv();
+    // Bare strtod would have silently produced 0 for each of these.
+    EXPECT_EQ(config.folds, defaults.folds) << bad_folds;
+    EXPECT_DOUBLE_EQ(config.height_scale, defaults.height_scale);
+    EXPECT_DOUBLE_EQ(config.train_budget_seconds,
+                     defaults.train_budget_seconds);
+    EXPECT_EQ(config.maritime_windows, defaults.maritime_windows);
+  }
 }
 
 TEST(CampaignEnv, ValidNumericOverridesParse) {
